@@ -182,7 +182,10 @@ type shardWorker struct {
 	crossDup                 uint64
 	served                   uint64 // since last advance
 	total                    uint64 // lifetime requests dequeued (chaos stall ordinal)
-	readBuf                  [config.LineSize]byte
+	// readBuf and writeBuf are the owner's line buffers for GET and PUT.
+	// They live on the worker (already on the heap) because the controller
+	// and the fingerprint hash both let the lines they see escape.
+	readBuf, writeBuf [config.LineSize]byte
 
 	// drainMode is the shard's watermark state: set when the mailbox
 	// reaches the high watermark, cleared at the low watermark. Written by
@@ -292,9 +295,10 @@ func (s *Server) logEvent(level slog.Level, msg string, args ...any) {
 }
 
 // shardOf routes a key: shards own key-hash classes, the serving analog of
-// the simulator's address striping.
-func (s *Server) shardOf(key string) int {
-	return int(hashes.CRC32([]byte(key)) % uint32(len(s.shards)))
+// the simulator's address striping. The key arrives as bytes in a buffer the
+// connection reuses, because the hash lets its input escape.
+func (s *Server) shardOf(key []byte) int {
+	return int(hashes.CRC32(key) % uint32(len(s.shards)))
 }
 
 // runOwner is a shard's single-threaded service loop. The time an owner
@@ -380,13 +384,14 @@ func (w *shardWorker) handle(s *Server, req shardReq) shardResp {
 			w.next++
 			w.slots[req.key] = slot
 		}
-		var line [config.LineSize]byte
+		line := w.writeBuf[:]
+		clear(line)
 		binary.BigEndian.PutUint16(line[:2], uint16(len(req.val)))
 		copy(line[2:], req.val)
-		if s.dir.HeldElsewhere(hashes.CRC32(line[:])&s.fingerMask, w.id) {
+		if s.dir.HeldElsewhere(hashes.CRC32(line)&s.fingerMask, w.id) {
 			w.crossDup++
 		}
-		w.now = w.ctrl.Write(w.now, slot, line[:])
+		w.now = w.ctrl.Write(w.now, slot, line)
 		w.puts++
 		return shardResp{status: StatusOK}
 	case OpGet:
@@ -590,6 +595,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	reply := make(chan shardResp, 1)
+	var keyBuf []byte // routing copy of the key, reused across frames
 	for {
 		if ns := slowNs; ns > 0 {
 			// Slow-loris pacing: the injected delay sits where a slow client
@@ -627,7 +633,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				resp = shardResp{status: StatusOK, val: snap}
 			}
 		case OpPut, OpGet:
-			shardID = s.shardOf(key)
+			keyBuf = append(keyBuf[:0], key...)
+			shardID = s.shardOf(keyBuf)
 			w := s.shards[shardID]
 			if shed = s.admit(w, shardReq{op: op, key: key, val: val, reply: reply, deadline: deadline}); shed >= 0 {
 				resp = shardResp{status: StatusBusy}

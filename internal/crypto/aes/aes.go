@@ -1,243 +1,44 @@
-// Package aes implements the AES-128 block cipher (FIPS-197) used by the
+// Package aes provides the AES-128 block cipher (FIPS-197) used by the
 // simulator's encryption engines: counter-mode OTP generation for data lines
 // and direct (ECB-per-block) encryption for metadata lines.
 //
-// The S-box and the T-tables are derived at init time from the GF(2^8) field
-// definition rather than transcribed, and the round function uses the
-// standard four-table formulation so that whole-line encryption is fast
-// enough to run on every simulated memory access. Tests cross-check every
-// path against the standard library and the FIPS-197 vectors.
-//
-// This package is a simulator substrate, not a hardened crypto library: it
-// makes no constant-time claims.
+// It delegates to crypto/aes, which is hardware-accelerated where the CPU
+// has it, and adds only the AES-128 key-length check. Ciphertexts are the
+// standard ones; the simulated 96 ns AES latency and its energy are config
+// constants, so which code computes a block never changes a simulated result.
 package aes
 
-import "fmt"
+import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
+	"fmt"
+)
 
 // BlockSize is the AES block size in bytes.
-const BlockSize = 16
+const BlockSize = stdaes.BlockSize
 
 // KeySize is the AES-128 key size in bytes.
 const KeySize = 16
 
-const rounds = 10
-
-// Cipher is an expanded AES-128 key with encryption and (equivalent inverse
-// cipher) decryption round keys.
-type Cipher struct {
-	enc [4 * (rounds + 1)]uint32
-	dec [4 * (rounds + 1)]uint32
-}
-
-// sbox / invSbox are the byte substitution tables; te / td the combined
-// SubBytes+ShiftRows+MixColumns round tables, all derived in init.
-var (
-	sbox    [256]byte
-	invSbox [256]byte
-	te      [4][256]uint32
-	td      [4][256]uint32
-)
-
-func init() {
-	// Multiplicative inverses in GF(2^8) by brute force (one-time cost).
-	var inv [256]byte
-	for a := 1; a < 256; a++ {
-		for b := 1; b < 256; b++ {
-			if gmul(byte(a), byte(b)) == 1 {
-				inv[a] = byte(b)
-				break
-			}
-		}
-	}
-	for i := 0; i < 256; i++ {
-		x := inv[i]
-		y := x ^ rotl8(x, 1) ^ rotl8(x, 2) ^ rotl8(x, 3) ^ rotl8(x, 4) ^ 0x63
-		sbox[i] = y
-		invSbox[y] = byte(i)
-	}
-	for i := 0; i < 256; i++ {
-		s := sbox[i]
-		w := uint32(gmul(s, 2))<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(gmul(s, 3))
-		te[0][i] = w
-		te[1][i] = w>>8 | w<<24
-		te[2][i] = w>>16 | w<<16
-		te[3][i] = w>>24 | w<<8
-
-		is := invSbox[i]
-		v := uint32(gmul(is, 14))<<24 | uint32(gmul(is, 9))<<16 |
-			uint32(gmul(is, 13))<<8 | uint32(gmul(is, 11))
-		td[0][i] = v
-		td[1][i] = v>>8 | v<<24
-		td[2][i] = v>>16 | v<<16
-		td[3][i] = v>>24 | v<<8
-	}
-}
-
-func rotl8(x byte, k uint) byte { return x<<k | x>>(8-k) }
-
-// gmul multiplies two elements of GF(2^8) modulo the AES polynomial
-// x^8+x^4+x^3+x+1.
-func gmul(a, b byte) byte {
-	var p byte
-	for i := 0; i < 8; i++ {
-		if b&1 != 0 {
-			p ^= a
-		}
-		hi := a & 0x80
-		a <<= 1
-		if hi != 0 {
-			a ^= 0x1b
-		}
-		b >>= 1
-	}
-	return p
-}
+// Cipher is an expanded AES-128 key. Encrypt and Decrypt panic on blocks
+// shorter than BlockSize and accept dst == src. Cipher is an interface, so
+// the slices passed to its methods escape to the heap; see cme.Engine for
+// how the hot path keeps caller buffers away from it.
+type Cipher = cipher.Block
 
 // New expands a 16-byte key. It returns an error for any other key length.
-func New(key []byte) (*Cipher, error) {
+func New(key []byte) (Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("aes: invalid key size %d, want %d", len(key), KeySize)
 	}
-	c := new(Cipher)
-	c.expandKey(key)
-	return c, nil
+	return stdaes.NewCipher(key)
 }
 
 // MustNew is New for compile-time-correct keys; it panics on error.
-func MustNew(key []byte) *Cipher {
+func MustNew(key []byte) Cipher {
 	c, err := New(key)
 	if err != nil {
 		panic(err)
 	}
 	return c
-}
-
-func (c *Cipher) expandKey(key []byte) {
-	n := KeySize / 4
-	for i := 0; i < n; i++ {
-		c.enc[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
-			uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
-	}
-	rcon := uint32(1) << 24
-	for i := n; i < len(c.enc); i++ {
-		t := c.enc[i-1]
-		if i%n == 0 {
-			t = subWord(t<<8|t>>24) ^ rcon
-			rcon = uint32(gmul(byte(rcon>>24), 2)) << 24
-		}
-		c.enc[i] = c.enc[i-n] ^ t
-	}
-	// Equivalent inverse cipher: reversed round keys with InvMixColumns
-	// applied to all but the first and last.
-	for i := 0; i <= rounds; i++ {
-		for j := 0; j < 4; j++ {
-			w := c.enc[4*(rounds-i)+j]
-			if i > 0 && i < rounds {
-				w = invMixColumnsWord(w)
-			}
-			c.dec[4*i+j] = w
-		}
-	}
-}
-
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-func invMixColumnsWord(w uint32) uint32 {
-	b0, b1, b2, b3 := byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
-	return uint32(gmul(b0, 14)^gmul(b1, 11)^gmul(b2, 13)^gmul(b3, 9))<<24 |
-		uint32(gmul(b0, 9)^gmul(b1, 14)^gmul(b2, 11)^gmul(b3, 13))<<16 |
-		uint32(gmul(b0, 13)^gmul(b1, 9)^gmul(b2, 14)^gmul(b3, 11))<<8 |
-		uint32(gmul(b0, 11)^gmul(b1, 13)^gmul(b2, 9)^gmul(b3, 14))
-}
-
-// Encrypt encrypts one 16-byte block from src into dst. dst and src may
-// overlap. It panics if either slice is shorter than BlockSize, matching the
-// crypto/cipher.Block contract.
-func (c *Cipher) Encrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input not full block")
-	}
-	rk := &c.enc
-	s0 := load32(src[0:4]) ^ rk[0]
-	s1 := load32(src[4:8]) ^ rk[1]
-	s2 := load32(src[8:12]) ^ rk[2]
-	s3 := load32(src[12:16]) ^ rk[3]
-
-	var t0, t1, t2, t3 uint32
-	for r := 1; r < rounds; r++ {
-		k := 4 * r
-		t0 = te[0][s0>>24] ^ te[1][s1>>16&0xff] ^ te[2][s2>>8&0xff] ^ te[3][s3&0xff] ^ rk[k]
-		t1 = te[0][s1>>24] ^ te[1][s2>>16&0xff] ^ te[2][s3>>8&0xff] ^ te[3][s0&0xff] ^ rk[k+1]
-		t2 = te[0][s2>>24] ^ te[1][s3>>16&0xff] ^ te[2][s0>>8&0xff] ^ te[3][s1&0xff] ^ rk[k+2]
-		t3 = te[0][s3>>24] ^ te[1][s0>>16&0xff] ^ te[2][s1>>8&0xff] ^ te[3][s2&0xff] ^ rk[k+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-	}
-	k := 4 * rounds
-	t0 = subShift(s0, s1, s2, s3) ^ rk[k]
-	t1 = subShift(s1, s2, s3, s0) ^ rk[k+1]
-	t2 = subShift(s2, s3, s0, s1) ^ rk[k+2]
-	t3 = subShift(s3, s0, s1, s2) ^ rk[k+3]
-	store32(dst[0:4], t0)
-	store32(dst[4:8], t1)
-	store32(dst[8:12], t2)
-	store32(dst[12:16], t3)
-}
-
-// subShift applies the final-round SubBytes+ShiftRows for one output word.
-func subShift(a, b, c2, d uint32) uint32 {
-	return uint32(sbox[a>>24])<<24 | uint32(sbox[b>>16&0xff])<<16 |
-		uint32(sbox[c2>>8&0xff])<<8 | uint32(sbox[d&0xff])
-}
-
-// Decrypt decrypts one 16-byte block from src into dst, the inverse of
-// Encrypt. It panics if either slice is shorter than BlockSize.
-func (c *Cipher) Decrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input not full block")
-	}
-	rk := &c.dec
-	s0 := load32(src[0:4]) ^ rk[0]
-	s1 := load32(src[4:8]) ^ rk[1]
-	s2 := load32(src[8:12]) ^ rk[2]
-	s3 := load32(src[12:16]) ^ rk[3]
-
-	var t0, t1, t2, t3 uint32
-	for r := 1; r < rounds; r++ {
-		k := 4 * r
-		t0 = td[0][s0>>24] ^ td[1][s3>>16&0xff] ^ td[2][s2>>8&0xff] ^ td[3][s1&0xff] ^ rk[k]
-		t1 = td[0][s1>>24] ^ td[1][s0>>16&0xff] ^ td[2][s3>>8&0xff] ^ td[3][s2&0xff] ^ rk[k+1]
-		t2 = td[0][s2>>24] ^ td[1][s1>>16&0xff] ^ td[2][s0>>8&0xff] ^ td[3][s3&0xff] ^ rk[k+2]
-		t3 = td[0][s3>>24] ^ td[1][s2>>16&0xff] ^ td[2][s1>>8&0xff] ^ td[3][s0&0xff] ^ rk[k+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-	}
-	k := 4 * rounds
-	t0 = invSubShift(s0, s3, s2, s1) ^ rk[k]
-	t1 = invSubShift(s1, s0, s3, s2) ^ rk[k+1]
-	t2 = invSubShift(s2, s1, s0, s3) ^ rk[k+2]
-	t3 = invSubShift(s3, s2, s1, s0) ^ rk[k+3]
-	store32(dst[0:4], t0)
-	store32(dst[4:8], t1)
-	store32(dst[8:12], t2)
-	store32(dst[12:16], t3)
-}
-
-// invSubShift applies the final-round InvSubBytes+InvShiftRows for one
-// output word.
-func invSubShift(a, b, c2, d uint32) uint32 {
-	return uint32(invSbox[a>>24])<<24 | uint32(invSbox[b>>16&0xff])<<16 |
-		uint32(invSbox[c2>>8&0xff])<<8 | uint32(invSbox[d&0xff])
-}
-
-func load32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func store32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }

@@ -2,8 +2,8 @@ package hashes
 
 import "testing"
 
-// The digests run on every modeled write, so they must not touch the heap:
-// value-array returns and stack tail buffers keep them at exactly zero
+// The digests run on every modeled write, so they must not touch the heap
+// beyond their input: value-array returns keep them at exactly zero
 // allocations. These tests pin that.
 func TestDigestAllocations(t *testing.T) {
 	line := make([]byte, 64)

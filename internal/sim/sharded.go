@@ -262,7 +262,9 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 					sh.zeroWrites++
 				}
 				if dir != nil && measuring {
-					if dir.HeldElsewhere(hashLine(req.Data)&fingerMask, sh.id) {
+					// Fingerprinted as the controller does (masked CRC-32), so
+					// the cross-shard census uses the controller's own classes.
+					if dir.HeldElsewhere(hashes.CRC32(req.Data)&fingerMask, sh.id) {
 						sh.crossDup++
 					}
 				}
@@ -427,11 +429,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	res.Sharding = rep
 	return res
 }
-
-// hashLine fingerprints a write payload the way the controller does (CRC-32
-// before masking), so the cross-shard duplicate census uses the controller's
-// own equivalence classes.
-func hashLine(data []byte) uint32 { return hashes.CRC32(data) }
 
 // maxLastDone returns the latest completion time across shards — the merged
 // run's notion of "now" at a barrier.

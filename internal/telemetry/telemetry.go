@@ -116,22 +116,24 @@ type Sample struct {
 	Value float64
 }
 
-// DefaultMaxEvents bounds the span buffer: beyond it events are counted but
-// dropped, so a long run cannot exhaust memory. 4 Mi events ≈ 250 MB.
+// DefaultMaxEvents bounds the span buffer and, separately, the sample
+// buffer: beyond it spans and samples are counted but dropped, so a long run
+// cannot exhaust memory. 4 Mi events ≈ 250 MB.
 const DefaultMaxEvents = 4 << 20
 
 // Tracer collects events and samples. The nil *Tracer is the disabled sink:
 // every method is safe (and free) to call on it.
 type Tracer struct {
-	mu      sync.Mutex
-	events  []Event
-	samples []Sample
-	dropped uint64
-	max     int
+	mu             sync.Mutex
+	events         []Event
+	samples        []Sample
+	dropped        uint64
+	droppedSamples uint64
+	max            int
 }
 
-// New returns an enabled tracer holding up to maxEvents span events
-// (DefaultMaxEvents when maxEvents <= 0).
+// New returns an enabled tracer holding up to maxEvents span events and up
+// to maxEvents counter samples (DefaultMaxEvents when maxEvents <= 0).
 func New(maxEvents int) *Tracer {
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
@@ -171,6 +173,11 @@ func (t *Tracer) Sample(name string, now units.Time, value float64) {
 		return
 	}
 	t.mu.Lock()
+	if len(t.samples) >= t.max {
+		t.droppedSamples++
+		t.mu.Unlock()
+		return
+	}
 	t.samples = append(t.samples, Sample{Name: name, Time: now, Value: value})
 	t.mu.Unlock()
 }
@@ -193,6 +200,17 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
+}
+
+// DroppedSamples returns the number of counter samples discarded after the
+// sample buffer filled.
+func (t *Tracer) DroppedSamples() uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.droppedSamples
 }
 
 // Events returns a copy of the recorded spans in emission order.

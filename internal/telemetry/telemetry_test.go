@@ -69,6 +69,22 @@ func TestEventCapDrops(t *testing.T) {
 	}
 }
 
+func TestSampleCapDrops(t *testing.T) {
+	trc := New(2)
+	for i := 0; i < 5; i++ {
+		trc.Sample("core.dup_ratio", units.Time(i), float64(i))
+	}
+	if n := len(trc.Samples()); n != 2 {
+		t.Fatalf("len(Samples) = %d, want 2 (capped)", n)
+	}
+	if trc.DroppedSamples() != 3 {
+		t.Fatalf("DroppedSamples = %d, want 3", trc.DroppedSamples())
+	}
+	if trc.Dropped() != 0 {
+		t.Fatalf("Dropped = %d, want 0 (spans and samples count apart)", trc.Dropped())
+	}
+}
+
 func TestConcurrentEmission(t *testing.T) {
 	trc := New(0)
 	var wg sync.WaitGroup
