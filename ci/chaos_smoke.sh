@@ -13,7 +13,7 @@
 #   3. a clean load run against the recovered daemon finishes with zero
 #      failed requests and zero retry give-ups despite armed chaos;
 #   4. the books balance: responses the clients received equal the server's
-#      serve_requests_total + serve_shed_total.
+#      serve_requests_total + serve_shed_total - serve_flush_failures_total.
 #
 # Artifacts (structured chaos logs, metrics scrapes, load summaries) land in
 # $ARTIFACT_DIR (default artifacts/chaos) for post-mortem inspection.
@@ -128,10 +128,11 @@ reconnects=$(jq -r .stats.Reconnects "$ART/load-clean.json")
 scrape "$ART/metrics-post-load.txt" || fail "post-load scrape failed"
 served=$(metric_sum "$ART/metrics-post-load.txt" dewrite_serve_requests_total)
 shed=$(metric_sum "$ART/metrics-post-load.txt" dewrite_serve_shed_total)
-if [ "$received" -ne $((served + shed)) ]; then
-  fail "books out of balance: clients received $received, server served $served + shed $shed"
+unflushed=$(metric_sum "$ART/metrics-post-load.txt" dewrite_serve_flush_failures_total)
+if [ "$received" -ne $((served + shed - unflushed)) ]; then
+  fail "books out of balance: clients received $received, server served $served + shed $shed - flush failures $unflushed"
 fi
-echo "chaos_smoke: books balance (received=$received served=$served shed=$shed reconnects=$reconnects)"
+echo "chaos_smoke: books balance (received=$received served=$served shed=$shed unflushed=$unflushed reconnects=$reconnects)"
 
 # --- Clean shutdown ----------------------------------------------------------
 kill -TERM "$SERVE_PID"

@@ -12,9 +12,10 @@ import (
 //
 //	metric                            type       labels       meaning
 //	--------------------------------  ---------  -----------  ----------------------------------------------
-//	serve_requests_total              counter    op           responses flushed to clients, by op
+//	serve_requests_total              counter    op           responses committed to clients, by op
 //	serve_errors_total                counter    op, cause    error responses and protocol failures, by cause
-//	serve_request_latency_ns          histogram  op           wall-clock frame-read → response-flushed latency
+//	serve_request_latency_ns          histogram  op           wall-clock frame-read → response-committed latency
+//	serve_flush_failures_total        counter    —            counted responses whose flush to the client failed
 //	serve_slow_requests_total         counter    —            requests admitted to the /debug/slow ring
 //	serve_connections_total           counter    —            client connections accepted
 //	serve_connections_open            gauge      —            client connections currently open
@@ -52,9 +53,12 @@ import (
 // none of them appear in run reports, so the frozen report schemas are
 // untouched.
 //
-// Books balance: every response flushed to a client is counted in exactly
-// one of serve_requests_total (OK / NotFound / Error) or serve_shed_total
-// (BUSY / DEADLINE). The chaos soak pins this equality.
+// Books balance: every response is counted when it is committed — written
+// to the connection's buffer, before the flush — in exactly one of
+// serve_requests_total (OK / NotFound / Error) or serve_shed_total (BUSY /
+// DEADLINE), so responses received by clients equal requests + sheds −
+// serve_flush_failures_total at any moment a client can observe. The chaos
+// soak pins this equality.
 
 // latencyBounds spans 1 µs to ~17 s with two buckets per power of two —
 // wide enough for a loaded barrier stall, fine enough for meaningful
@@ -84,16 +88,17 @@ var shedCauseNames = [shedCauses]string{"watermark", "drain", "queue_full", "dea
 // so request handling never renders label sets.
 type serveMetrics struct {
 	// requests is indexed by op-1 (OpPut, OpGet, OpStats); the final slot is
-	// the op="unknown" bucket, so a flushed error response to an
+	// the op="unknown" bucket, so a committed error response to an
 	// unrecognized opcode still lands in the books.
 	requests [4]*monitor.Counter
 	latency  [3]*monitor.Histogram // indexed by op-1; unknown ops have no latency family
 	stalls   []*monitor.Counter    // per shard: serve_barrier_stall_ns_total
 
-	slowTotal  *monitor.Counter
-	connsTotal *monitor.Counter
-	advances   *monitor.Counter
-	advanceNs  *monitor.Counter
+	slowTotal     *monitor.Counter
+	connsTotal    *monitor.Counter
+	flushFailures *monitor.Counter // serve_flush_failures_total
+	advances      *monitor.Counter
+	advanceNs     *monitor.Counter
 
 	// Admission control and backpressure, per shard.
 	sheds      [][shedCauses]*monitor.Counter // serve_shed_total{shard,cause}
@@ -126,6 +131,7 @@ func newServeMetrics(reg *monitor.Registry, shards int) *serveMetrics {
 	m := &serveMetrics{
 		slowTotal:      reg.Counter("serve_slow_requests_total"),
 		connsTotal:     reg.Counter("serve_connections_total"),
+		flushFailures:  reg.Counter("serve_flush_failures_total"),
 		advances:       reg.Counter("serve_advances_total"),
 		advanceNs:      reg.Counter("serve_advance_ns_total"),
 		snapshots:      reg.Counter("serve_snapshots_total"),

@@ -27,14 +27,15 @@ func requestsTotal(reg *monitor.Registry) uint64 {
 	return total
 }
 
-// checkBooks asserts the invariant every response flushed to a client is
-// counted exactly once: client-received == requests_total + shed_total.
+// checkBooks asserts the invariant every committed response is counted
+// exactly once: client-received == requests_total + shed_total minus the
+// counted responses whose flush failed.
 func checkBooks(t *testing.T, srv *Server, received uint64) {
 	t.Helper()
-	counted := requestsTotal(srv.Registry()) + srv.m.shedTotal()
-	if counted != received {
-		t.Fatalf("books unbalanced: clients received %d responses, server counted %d (requests %d + sheds %d)",
-			received, counted, requestsTotal(srv.Registry()), srv.m.shedTotal())
+	requests, sheds, unflushed := requestsTotal(srv.Registry()), srv.m.shedTotal(), srv.m.flushFailures.Value()
+	if counted := requests + sheds - unflushed; counted != received {
+		t.Fatalf("books unbalanced: clients received %d responses, server counted %d (requests %d + sheds %d - flush failures %d)",
+			received, counted, requests, sheds, unflushed)
 	}
 }
 

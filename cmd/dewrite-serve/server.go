@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -565,8 +566,11 @@ func closedForShutdown(err error) bool {
 //
 // Shutdown contract: once a request frame has been read it is always
 // processed and its response always written — quit is only honored between
-// frames, so in-flight requests are never dropped. Counters count flushed
-// responses, which is what makes the shutdown test's books balance.
+// frames, so in-flight requests are never dropped. Counters count committed
+// responses — framed into the connection's buffer, before the flush sends
+// them — so a counter read after the client has its reply already includes
+// it; a failed flush is counted in serve_flush_failures_total. That is what
+// makes the shutdown test's books balance.
 func (s *Server) serveConn(conn net.Conn) {
 	if !s.track(conn) {
 		conn.Close()
@@ -593,7 +597,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	slowNs := s.plan.ReadDelayNs(cid)
 
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	// out holds one response frame until it is counted: a frame larger
+	// than a bufio.Writer's buffer would be written through to the client
+	// before the counter moved.
+	var out bytes.Buffer
 	reply := make(chan shardResp, 1)
 	var keyBuf []byte // routing copy of the key, reused across frames
 	for {
@@ -608,8 +615,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !closedForShutdown(err) {
 				s.errorCause(op, "bad_frame")
 				s.logEvent(slog.LevelWarn, "bad_frame", "conn", cid, "err", err.Error())
-				_ = writeResponse(bw, StatusError, []byte(err.Error()))
-				_ = bw.Flush()
+				_ = writeResponse(&out, StatusError, []byte(err.Error()))
+				_, _ = out.WriteTo(conn)
 			}
 			return
 		}
@@ -644,13 +651,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			resp = shardResp{status: StatusError, val: []byte("unknown op"), cause: "unknown_op"}
 		}
-		if err := writeResponse(bw, resp.status, resp.val); err != nil {
+		if err := writeResponse(&out, resp.status, resp.val); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		served++
+		// The response is committed: count it before the flush, so a client
+		// that reads its reply and then scrapes never sees the books behind.
 		lat := time.Since(start)
 		if resp.status == StatusDeadline {
 			shed = shedDeadline
@@ -660,6 +665,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		} else {
 			s.observe(rid, op, shardID, lat, resp)
 		}
+		if _, err := out.WriteTo(conn); err != nil {
+			// Counted but never delivered; the books subtract these.
+			s.m.flushFailures.Inc()
+			return
+		}
+		served++
 
 		if doomed && served >= resetAfter {
 			s.m.chaosResets.Inc()
@@ -676,12 +687,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// observe records one flushed response in the RED instruments, the slow
+// observe records one committed response in the RED instruments, the slow
 // ring, and (when slow) the structured log.
 func (s *Server) observe(rid uint64, op byte, shardID int, lat time.Duration, resp shardResp) {
 	idx := int(op) - 1
 	if idx < 0 || idx >= len(s.m.latency) {
-		// Unknown op: the error response was still flushed to the client, so
+		// Unknown op: the error response was still written to the client, so
 		// the books must count it — serve_requests_total{op="unknown"} — but
 		// an op the protocol doesn't know has no latency family.
 		s.m.requests[len(s.m.requests)-1].Inc()

@@ -20,19 +20,21 @@ var booksBalancePkgs = map[string]bool{
 // request-handling function.
 var BooksBalance = &analysis.Analyzer{
 	Name: "booksbalance",
-	Doc: "every successfully flushed response must increment exactly one books counter\n\n" +
-		"The serving contract (DESIGN.md sections 12 and 14) is that responses\n" +
-		"received by clients equal serve_requests_total plus serve_shed_total;\n" +
-		"the chaos soak asserts it dynamically, this analyzer proves it per\n" +
-		"path. In any function that writes responses (calls writeResponse),\n" +
-		"each successful flush — the false edge of an\n" +
-		"`if err := bw.Flush(); err != nil` guard — anchors a CFG traversal:\n" +
-		"every path from there to the next frame decode (readRequest) or to\n" +
-		"function exit must pass exactly one increment of a counter rooted in\n" +
-		"the requests or sheds metric families. Increments inside\n" +
-		"package-local callees count through fixpoint summaries, so a helper\n" +
-		"like observe() satisfies the books if every one of its own paths\n" +
-		"increments exactly once.",
+	Doc: "every committed response must increment exactly one books counter\n\n" +
+		"The serving contract (DESIGN.md sections 13 and 14) is that responses\n" +
+		"are counted in serve_requests_total or serve_shed_total when they are\n" +
+		"committed, before the flush, so a client that has its reply can never\n" +
+		"read the books behind it; the chaos soak asserts the balance\n" +
+		"dynamically, this analyzer proves it per path. Each committed\n" +
+		"response — the false edge of an\n" +
+		"`if err := writeResponse(...); err != nil` guard — anchors a CFG\n" +
+		"traversal: every path from there to the next frame decode\n" +
+		"(readRequest) or to function exit, the failed-flush exit included,\n" +
+		"must pass exactly one increment of a counter rooted in the requests\n" +
+		"or sheds metric families. Increments inside package-local callees\n" +
+		"count through fixpoint summaries, so a helper like observe()\n" +
+		"satisfies the books if every one of its own paths increments exactly\n" +
+		"once.",
 	Run: runBooksBalance,
 }
 
@@ -177,24 +179,20 @@ func (a *booksAnalysis) functionInterval(body *ast.BlockStmt) countInterval {
 	return in[g.Exit] // zero interval when Exit is unreachable (infinite loop)
 }
 
-// checkAnchors verifies the books from every successful response flush in
-// functions that write responses.
+// checkAnchors verifies the books from every committed response.
 func (a *booksAnalysis) checkAnchors(decl *ast.FuncDecl) {
-	if !callsFunctionNamed(decl.Body, "writeResponse") {
-		return
-	}
 	g := cfg.New(decl.Body)
 	for _, blk := range g.Blocks {
 		ifStmt, ok := blk.Branch.(*ast.IfStmt)
-		if !ok || !isFlushErrCheck(ifStmt) || len(blk.Succs) < 2 {
+		if !ok || !isWriteResponseErrCheck(ifStmt) || len(blk.Succs) < 2 {
 			continue
 		}
-		// Succs[1] is the err == nil edge: the response reached the client.
+		// Succs[1] is the err == nil edge: the response is committed.
 		a.traverseFrom(g, blk.Succs[1], ifStmt)
 	}
 }
 
-// traverseFrom walks every path from the flush-success edge, accumulating
+// traverseFrom walks every path from the committed-response edge, accumulating
 // books increments until the next frame decode (a block calling
 // readRequest) or function exit, and reports paths whose count is not
 // exactly one.
@@ -241,9 +239,9 @@ func (a *booksAnalysis) traverseFrom(g *cfg.CFG, start *cfg.Block, anchor *ast.I
 		c := bad[stop]
 		switch {
 		case c.min == 0:
-			a.pass.Reportf(anchor.Pos(), "a path from this flushed response reaches %s without incrementing serve_requests_total or serve_shed_total: the books lose a response", stop)
+			a.pass.Reportf(anchor.Pos(), "a path from this committed response reaches %s without incrementing serve_requests_total or serve_shed_total: the books lose a response", stop)
 		default:
-			a.pass.Reportf(anchor.Pos(), "a path from this flushed response reaches %s with %d books increments: the response is double-counted", stop, c.max)
+			a.pass.Reportf(anchor.Pos(), "a path from this committed response reaches %s with %d books increments: the response is double-counted", stop, c.max)
 		}
 	}
 }
@@ -255,18 +253,15 @@ func unionInto(bad map[string]countInterval, key string, c countInterval) countI
 	return c
 }
 
-// isFlushErrCheck matches `if err := X.Flush(); err != nil { ... }`.
-func isFlushErrCheck(ifStmt *ast.IfStmt) bool {
+// isWriteResponseErrCheck matches
+// `if err := writeResponse(...); err != nil { ... }`.
+func isWriteResponseErrCheck(ifStmt *ast.IfStmt) bool {
 	assign, ok := ifStmt.Init.(*ast.AssignStmt)
 	if !ok || len(assign.Rhs) != 1 {
 		return false
 	}
 	call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Flush"
+	return ok && calleeName(call) == "writeResponse"
 }
 
 // blockCallsReadRequest reports whether the block decodes the next frame.
@@ -299,18 +294,4 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// callsFunctionNamed reports whether body contains a call to a function
-// with the given name.
-func callsFunctionNamed(body *ast.BlockStmt, name string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == name {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
 }

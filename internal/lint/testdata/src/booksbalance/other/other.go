@@ -1,5 +1,5 @@
 // Package other sits outside the booksbalance gate: the books invariant
-// belongs to the serving daemon alone, so the same lossy flush is ignored
+// belongs to the serving daemon alone, so the same lossy response is ignored
 // here.
 package other
 
@@ -28,9 +28,7 @@ func serveLossy(c *conn, m *metrics) {
 		if err := writeResponse(c, op); err != nil {
 			return
 		}
-		if err := c.Flush(); err != nil {
-			return
-		}
+		_ = c.Flush()
 		_ = m
 	}
 }

@@ -6,14 +6,10 @@ import (
 	"sync/atomic"
 
 	"dewrite/internal/attr"
-	"dewrite/internal/baseline"
 	"dewrite/internal/config"
 	"dewrite/internal/core"
-	"dewrite/internal/cpu"
 	"dewrite/internal/hashes"
-	"dewrite/internal/nvm"
 	"dewrite/internal/shard"
-	"dewrite/internal/stats"
 	"dewrite/internal/timeline"
 	"dewrite/internal/trace"
 	"dewrite/internal/units"
@@ -37,8 +33,11 @@ import (
 // of (stream, config, shard count): scheduling worker goroutines differently
 // cannot change a single counter.
 //
-// Shard count 1 bypasses all of this and runs the sequential path, so its
-// output is byte-identical to RunScheme.
+// Each shard is a lane, the same request path Run drives, and the lanes merge
+// through the same finish. Shard count 1 bypasses the epochs and runs Run
+// itself, so its output is byte-identical to RunScheme: per-request timeline
+// ticks, the cache hierarchy, span tracing and crash points are
+// whole-machine, and only the request-by-request loop supports them.
 
 // DefaultEpochRequests is the barrier period of the sharded run: the number
 // of global request indices per epoch. Smaller epochs tighten cross-shard
@@ -47,10 +46,10 @@ const DefaultEpochRequests = 1024
 
 // ShardedOptions configures a sharded run. The embedded Options keep their
 // sequential meaning, with restrictions: Hierarchy, Tracer and CrashAt are
-// not supported at Shards > 1 (the cache filter and the crash model are
-// whole-machine, not per-shard), and Attr is treated as a request for
-// attribution — the run builds one recorder per shard with the same sample
-// period and merges the reports.
+// not supported at Shards > 1 (the cache filter, span tracing and the crash
+// model are whole-machine, not per-shard), and Attr is treated as a request
+// for attribution — the run builds one recorder per shard with the same
+// sample period and merges the reports.
 type ShardedOptions struct {
 	Options
 
@@ -60,22 +59,6 @@ type ShardedOptions struct {
 	// Workers bounds the goroutines driving shards within an epoch; <= 0
 	// uses runtime.GOMAXPROCS(0). The result is identical for any value.
 	Workers int
-	// EpochRequests is the barrier period in global request indices; <= 0
-	// selects DefaultEpochRequests.
-	EpochRequests int
-
-	// OnBarrier, when non-nil, observes every epoch barrier with each
-	// shard's simulated stall time: the gap between that shard's last
-	// completion and the slowest shard's, i.e. how long the shard would
-	// have idled waiting at the barrier. At least one entry is always zero
-	// (the slowest shard never waits). Observational only — the hook runs
-	// on the coordinating goroutine after the directory advance, its
-	// values are pure functions of (config, seed), and it must not mutate
-	// run state; the slice is reused across calls, so copy it to retain.
-	// epoch is 1-based (the epoch just closed), so the final call's epoch
-	// equals the report's Sharding.Epochs. Reports are byte-identical with
-	// the hook set or nil.
-	OnBarrier func(epoch uint64, stalls []units.Duration)
 }
 
 // ShardStat is one shard's slice of a sharded run, reported so the balance
@@ -109,31 +92,14 @@ type ShardingReport struct {
 	PerShard          []ShardStat `json:"per_shard"`
 }
 
-// shardState is one shard's private slice of the run. Only its owning
-// worker touches it between barriers.
+// shardState is one shard's lane plus its slice of the partition. Only its
+// owning worker touches it between barriers.
 type shardState struct {
-	id    int
-	lines uint64
-	banks int
-
-	mem     Memory
-	ri      readerInto
-	readBuf [config.LineSize]byte
-	machine *cpu.Machine
-	rec     *attr.Recorder
-	sampler timeline.Sampler
-
-	writeLat, readLat stats.Latency
-	lastDone          units.Time
-	requests          uint64
-	memWrites         uint64
-	memReads          uint64
-	zeroWrites        uint64
-	crossDup          uint64
-
-	measured       bool // warmup baseline captured
-	instr0, cycle0 uint64
-	dev0           nvm.Stats
+	*lane
+	id       int
+	lines    uint64
+	banks    int
+	crossDup uint64 // measured writes whose fingerprint lived on another shard
 }
 
 // RunSharded drives a prepared request stream through Shards partitioned
@@ -142,14 +108,8 @@ type shardState struct {
 // the Result carries a Sharding block, FinalMemory is nil, and the merged
 // counters keep the sequential invariants: attribution cause writes still
 // sum exactly to device line writes, generator ground truth is the stream's
-// own, and per-shard requests/writes/reads sum to the stream totals.
-//
-// Latency percentiles merge from the per-shard histograms (same bucket
-// geometry, so the merged quantiles have the sequential error bound).
-// Cycles is the maximum shard cycle count — the makespan of the partition —
-// and IPC is total instructions over that makespan. Device mean waits merge
-// weighted by per-shard operation counts; P99 waits take the per-shard
-// maximum, a conservative upper bound.
+// own, and per-shard requests/writes/reads sum to the stream totals. The
+// shard lanes merge through the same finish as a sequential run.
 func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts ShardedOptions) Result {
 	if opts.Shards <= 1 {
 		res, _ := RunScheme(s, prof, cfg, opts.Options)
@@ -177,10 +137,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			panic("sim: prepared warmup does not match Warmup")
 		}
 	}
-	epochLen := opts.EpochRequests
-	if epochLen <= 0 {
-		epochLen = DefaultEpochRequests
-	}
 
 	router := shard.NewRouter(n)
 	// Each shard owns an equal slice of the device's banks (at least one),
@@ -188,45 +144,39 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	// replicate it.
 	shardCfg := cfg
 	shardCfg.NVM.Ranks = 1
-	shardCfg.NVM.BanksPerRank = cfg.NVM.Banks() / n
-	if shardCfg.NVM.BanksPerRank < 1 {
-		shardCfg.NVM.BanksPerRank = 1
-	}
+	shardCfg.NVM.BanksPerRank = max(cfg.NVM.Banks()/n, 1)
 
 	fingerMask := ^uint32(0)
 	if bits := cfg.Dedup.HashSizeBits; bits > 0 && bits < 32 {
 		fingerMask = uint32(1)<<bits - 1
 	}
 
+	tl := opts.Timeline
 	var dir *shard.Directory
 	shards := make([]*shardState, n)
-	for i := 0; i < n; i++ {
-		sh := &shardState{id: i, lines: router.LinesFor(i, prof.WorkingSetLines), banks: shardCfg.NVM.Banks()}
+	lanes := make([]*lane, n)
+	for i := range shards {
+		lines := router.LinesFor(i, prof.WorkingSetLines)
 		faults := opts.Faults
 		if faults.Enabled() {
 			faults.Seed += uint64(i)
 		}
-		sh.mem = NewMemoryWith(s, sh.lines, shardCfg, faults, false)
-		sh.ri, _ = sh.mem.(readerInto)
-		sh.machine = cpu.NewMachine(prof.Threads)
-		if ctrl, ok := sh.mem.(*core.Controller); ok {
+		mem := NewMemoryWith(s, lines, shardCfg, faults, false)
+		if ctrl, ok := mem.(*core.Controller); ok {
 			if dir == nil {
 				dir = shard.NewDirectory(n)
 			}
 			d, id := dir, i
 			ctrl.Tables().SetPublish(func(h uint32, delta int) { d.Publish(id, h, delta) })
 		}
+		var rec *attr.Recorder
 		if opts.Attr.Enabled() {
-			sh.rec = attr.NewRecorder(int(opts.Attr.SamplePeriod()), opts.Seed+uint64(i))
-			AttachAttr(sh.mem, sh.rec)
+			rec = attr.NewRecorder(int(opts.Attr.SamplePeriod()), opts.Seed+uint64(i))
 		}
-		if opts.Timeline.Enabled() {
-			sh.sampler, _ = sh.mem.(timeline.Sampler)
-		}
-		shards[i] = sh
+		lanes[i] = newLane(mem, prof.Threads, nil, rec, tl.Enabled())
+		shards[i] = &shardState{lane: lanes[i], id: i, lines: lines, banks: shardCfg.NVM.Banks()}
 	}
 
-	tl := opts.Timeline
 	var tlSrc timeline.Sampler
 	if tl.Enabled() {
 		tlSrc = timeline.SamplerFunc(func(e *timeline.Epoch, now units.Time) {
@@ -234,70 +184,25 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 		})
 	}
 
-	warmup := opts.Warmup
 	process := func(sh *shardState, start, end int) {
 		for i := start; i < end; i++ {
 			req := &prep.Requests[i]
 			if router.ShardOf(req.Addr) != sh.id {
 				continue
 			}
-			if i >= warmup && !sh.measured {
-				sh.measured = true
-				sh.instr0 = sh.machine.Instructions()
-				sh.cycle0 = sh.machine.Cycles()
-				if dev := DeviceOf(sh.mem); dev != nil {
-					sh.dev0 = dev.Stats()
-				}
-			}
-			measuring := i >= warmup
-			th := req.Thread
-			sh.machine.Execute(th, req.Gap)
-			if measuring {
-				sh.requests++
-			}
+			measuring := i >= opts.Warmup
+			sh.begin(req.Thread, req.Gap, measuring)
 			local := router.Local(req.Addr)
-			if req.Op == trace.Write {
-				issue := sh.machine.IssueWrite(th)
-				if tl.Enabled() && baseline.IsZeroLine(req.Data) {
-					sh.zeroWrites++
-				}
-				if dir != nil && measuring {
-					// Fingerprinted as the controller does (masked CRC-32), so
-					// the cross-shard census uses the controller's own classes.
-					if dir.HeldElsewhere(hashes.CRC32(req.Data)&fingerMask, sh.id) {
-						sh.crossDup++
-					}
-				}
-				sh.rec.Begin(attr.KindWrite, local, issue)
-				done := sh.mem.Write(issue, local, req.Data)
-				sh.rec.End(done)
-				sh.machine.RetireWrite(th, done)
-				if done > sh.lastDone {
-					sh.lastDone = done
-				}
-				if measuring {
-					sh.writeLat.Observe(done.Sub(issue))
-					sh.memWrites++
-				}
-			} else {
-				issue := sh.machine.IssueRead(th)
-				sh.rec.Begin(attr.KindRead, local, issue)
-				var done units.Time
-				if sh.ri != nil {
-					done = sh.ri.ReadInto(issue, local, sh.readBuf[:])
-				} else {
-					_, done = sh.mem.Read(issue, local)
-				}
-				sh.rec.End(done)
-				sh.machine.RetireRead(th, done)
-				if done > sh.lastDone {
-					sh.lastDone = done
-				}
-				if measuring {
-					sh.readLat.Observe(done.Sub(issue))
-					sh.memReads++
-				}
+			if req.Op != trace.Write {
+				sh.read(req.Thread, local, false, measuring)
+				continue
 			}
+			// Fingerprinted as the controller does (masked CRC-32), so the
+			// cross-shard census uses the controller's own classes.
+			if dir != nil && measuring && dir.HeldElsewhere(hashes.CRC32(req.Data)&fingerMask, sh.id) {
+				sh.crossDup++
+			}
+			sh.write(req.Thread, local, req.Data, "", measuring)
 		}
 	}
 
@@ -305,17 +210,11 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 
 	var epochs uint64
-	var stallBuf []units.Duration // OnBarrier scratch, reused across barriers
-	for start := 0; start < len(prep.Requests); start += epochLen {
-		end := start + epochLen
-		if end > len(prep.Requests) {
-			end = len(prep.Requests)
-		}
+	for start := 0; start < len(prep.Requests); start += DefaultEpochRequests {
+		end := min(start+DefaultEpochRequests, len(prep.Requests))
 		if workers <= 1 {
 			for _, sh := range shards {
 				process(sh, start, end)
@@ -342,87 +241,33 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			dir.Advance()
 		}
 		epochs++
-		if opts.OnBarrier != nil {
-			maxDone := maxLastDone(shards)
-			if stallBuf == nil {
-				stallBuf = make([]units.Duration, n)
-			}
-			for i, sh := range shards {
-				stallBuf[i] = maxDone.Sub(sh.lastDone)
-			}
-			opts.OnBarrier(epochs, stallBuf)
-		}
-		if tl.Enabled() {
-			tl.Tick(maxLastDone(shards), uint64(end), tlSrc)
-		}
+		tl.Tick(maxLastDone(shards), uint64(end), tlSrc)
 	}
 
 	res := Result{App: prof.Name, Scheme: s.String()}
 	res.Gen = genDelta(prep.GenFinal, prep.GenWarm)
+	finish(&res, lanes)
 
-	var writeLat, readLat stats.Latency
-	var dev nvm.Stats
-	var crossDup uint64
-	rep := &ShardingReport{Shards: n, EpochRequests: epochLen, Epochs: epochs}
+	rep := &ShardingReport{Shards: n, EpochRequests: DefaultEpochRequests, Epochs: epochs}
 	attrReports := make([]*attr.Report, 0, n)
 	for _, sh := range shards {
-		res.Requests += sh.requests
-		res.MemWrites += sh.memWrites
-		res.MemReads += sh.memReads
-		crossDup += sh.crossDup
-		writeLat.Merge(&sh.writeLat)
-		readLat.Merge(&sh.readLat)
-
-		var instr, cycles uint64
-		var shardDev nvm.Stats
-		if sh.measured {
-			instr = sh.machine.Instructions() - sh.instr0
-			cycles = sh.machine.Cycles() - sh.cycle0
-			if d := DeviceOf(sh.mem); d != nil {
-				shardDev = devDelta(d.Stats(), sh.dev0)
-			}
-		}
-		res.Instructions += instr
-		if cycles > res.Cycles {
-			res.Cycles = cycles
-		}
-		mergeDeviceStats(&dev, shardDev)
-
+		rep.CrossShardDupHits += sh.crossDup
 		if sh.rec.Enabled() {
 			r := sh.rec.Report()
 			padBankWrites(r, sh.banks)
 			attrReports = append(attrReports, r)
 		}
+		_, cycles, dev := sh.window()
 		rep.PerShard = append(rep.PerShard, ShardStat{
 			Shard: sh.id, Lines: sh.lines, Banks: sh.banks,
 			Requests: sh.requests, MemWrites: sh.memWrites, MemReads: sh.memReads,
-			DevReads: shardDev.Reads, DevWrites: shardDev.Writes, Cycles: cycles,
+			DevReads: dev.Reads, DevWrites: dev.Writes, Cycles: cycles,
 		})
 	}
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	res.Elapsed = units.Duration(res.Cycles) * units.NewClock(config.CPUHz).Period()
-	res.MeanWriteLat = writeLat.Mean()
-	res.MeanReadLat = readLat.Mean()
-	res.P50WriteLat = writeLat.P50()
-	res.P95WriteLat = writeLat.P95()
-	res.P99WriteLat = writeLat.P99()
-	res.P50ReadLat = readLat.P50()
-	res.P95ReadLat = readLat.P95()
-	res.P99ReadLat = readLat.P99()
-	res.WriteLatSum = writeLat.Sum()
-	res.ReadLatSum = readLat.Sum()
-	res.EnergyPJ = dev.EnergyPJ
-	res.Device = dev
 
-	if tl.Enabled() {
-		tl.Finish(maxLastDone(shards), uint64(len(prep.Requests)), tlSrc)
-		res.Timeline = tl.Report()
-	}
+	tl.Finish(maxLastDone(shards), uint64(len(prep.Requests)), tlSrc)
+	res.Timeline = tl.Report()
 	res.Attribution = attr.MergeReports(attrReports...)
-
-	rep.CrossShardDupHits = crossDup
 	if dir != nil {
 		rep.Directory = dir.Snapshot()
 	}
@@ -435,40 +280,9 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 func maxLastDone(shards []*shardState) units.Time {
 	var t units.Time
 	for _, sh := range shards {
-		if sh.lastDone > t {
-			t = sh.lastDone
-		}
+		t = max(t, sh.lastDone)
 	}
 	return t
-}
-
-// mergeDeviceStats folds one shard's device delta into the merged stats:
-// counters add, mean waits merge weighted by operation counts, and the P99
-// waits take the maximum — a conservative bound, since a true merged P99
-// cannot exceed the worst shard's.
-func mergeDeviceStats(dst *nvm.Stats, s nvm.Stats) {
-	if s.Reads+dst.Reads > 0 {
-		dst.MeanReadWait = units.Duration(
-			(float64(dst.MeanReadWait)*float64(dst.Reads) + float64(s.MeanReadWait)*float64(s.Reads)) /
-				float64(dst.Reads+s.Reads))
-	}
-	if s.Writes+dst.Writes > 0 {
-		dst.MeanWriteWait = units.Duration(
-			(float64(dst.MeanWriteWait)*float64(dst.Writes) + float64(s.MeanWriteWait)*float64(s.Writes)) /
-				float64(dst.Writes+s.Writes))
-	}
-	if s.P99ReadWait > dst.P99ReadWait {
-		dst.P99ReadWait = s.P99ReadWait
-	}
-	if s.P99WriteWait > dst.P99WriteWait {
-		dst.P99WriteWait = s.P99WriteWait
-	}
-	dst.Reads += s.Reads
-	dst.RowHits += s.RowHits
-	dst.Writes += s.Writes
-	dst.BitsFlipped += s.BitsFlipped
-	dst.BitsWritten += s.BitsWritten
-	dst.EnergyPJ += s.EnergyPJ
 }
 
 // padBankWrites extends every cause's per-bank breakdown to the shard's
@@ -497,9 +311,7 @@ func mergeEpoch(e *timeline.Epoch, now units.Time, shards []*shardState, totalLi
 	}
 	for _, sh := range shards {
 		var se timeline.Epoch
-		if sh.sampler != nil {
-			sh.sampler.SampleEpoch(&se, now)
-		}
+		sh.SampleEpoch(&se, now)
 		e.DevReads += se.DevReads
 		e.DevWrites += se.DevWrites
 		e.EnergyPJ += se.EnergyPJ
@@ -516,7 +328,7 @@ func mergeEpoch(e *timeline.Epoch, now units.Time, shards []*shardState, totalLi
 		e.BankWear = append(e.BankWear, se.BankWear...)
 		e.Writes += se.Writes
 		e.DupEliminated += se.DupEliminated
-		e.ZeroWrites += sh.zeroWrites
+		e.ZeroWrites += se.ZeroWrites
 		e.MetaHits += se.MetaHits
 		e.MetaMisses += se.MetaMisses
 		e.DedupLive += se.DedupLive
@@ -528,16 +340,4 @@ func mergeEpoch(e *timeline.Epoch, now units.Time, shards []*shardState, totalLi
 		e.FaultSpareUsed += se.FaultSpareUsed
 		e.FaultBanksRetired += se.FaultBanksRetired
 	}
-}
-
-// RunShardedScheme mirrors RunScheme for sharded execution; it exists so
-// callers that pattern-match on the sequential helper have an equivalent
-// entry point. The memory return is nil at Shards > 1 — a sharded run has
-// no single memory.
-func RunShardedScheme(s Scheme, prof workload.Profile, cfg config.Config, opts ShardedOptions) (Result, Memory) {
-	if opts.Shards <= 1 {
-		return RunScheme(s, prof, cfg, opts.Options)
-	}
-	res := RunSharded(s, prof, cfg, opts)
-	return res, nil
 }

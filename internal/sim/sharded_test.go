@@ -7,7 +7,6 @@ import (
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/timeline"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -191,82 +190,21 @@ func TestShardedProvenanceInvariant(t *testing.T) {
 	}
 }
 
-// TestShardedEpochGranularity: a custom epoch length changes only the
-// barrier cadence, never the merged counters at shard count 1, and drives
-// the reported epoch count.
+// TestShardedEpochGranularity: the barrier period is DefaultEpochRequests
+// global request indices, so the reported epoch count is the stream length
+// over that period, rounded up.
 func TestShardedEpochGranularity(t *testing.T) {
 	prof := shardedProfile(t)
 	cfg := config.Default()
 	base := Options{Requests: 2000, Warmup: 200, Seed: 11}
-	prep := Prepare(prof, base)
-	base.Prepared = prep
+	base.Prepared = Prepare(prof, base)
 
-	for _, epoch := range []int{256, 1000} {
-		opts := ShardedOptions{Options: base, Shards: 2, EpochRequests: epoch}
-		res := RunSharded(SchemeDeWrite, prof, cfg, opts)
-		wantEpochs := uint64((2000 + epoch - 1) / epoch)
-		if res.Sharding.Epochs != wantEpochs {
-			t.Fatalf("epoch=%d: %d epochs, want %d", epoch, res.Sharding.Epochs, wantEpochs)
-		}
-		if res.Sharding.EpochRequests != epoch {
-			t.Fatalf("epoch=%d: block says %d", epoch, res.Sharding.EpochRequests)
-		}
+	res := RunSharded(SchemeDeWrite, prof, cfg, ShardedOptions{Options: base, Shards: 2})
+	wantEpochs := uint64((base.Requests + DefaultEpochRequests - 1) / DefaultEpochRequests)
+	if res.Sharding.Epochs != wantEpochs {
+		t.Fatalf("%d epochs, want %d", res.Sharding.Epochs, wantEpochs)
 	}
-}
-
-// TestShardedOnBarrierObservational: the OnBarrier hook sees every epoch
-// barrier with per-shard simulated stall times, and — being observational —
-// its presence leaves the run report byte-identical. This pins the serving
-// observability contract: instrumentation on vs off never changes results.
-func TestShardedOnBarrierObservational(t *testing.T) {
-	prof := shardedProfile(t)
-	cfg := config.Default()
-	base := Options{Requests: 3000, Warmup: 300, Seed: 7}
-	prep := Prepare(prof, base)
-	base.Prepared = prep
-
-	const shards = 4
-	plain := ShardedOptions{Options: base, Shards: shards}
-	want := reportBytes(t, NewRunReport(RunSharded(SchemeDeWrite, prof, cfg, plain), nil))
-
-	var (
-		calls     uint64
-		lastEpoch uint64
-	)
-	hooked := ShardedOptions{Options: base, Shards: shards}
-	hooked.OnBarrier = func(epoch uint64, stalls []units.Duration) {
-		calls++
-		if epoch != calls {
-			t.Errorf("barrier %d reported epoch %d", calls, epoch)
-		}
-		lastEpoch = epoch
-		if len(stalls) != shards {
-			t.Fatalf("barrier %d: %d stall entries, want %d", epoch, len(stalls), shards)
-		}
-		sawZero := false
-		for i, st := range stalls {
-			if st < 0 {
-				t.Errorf("barrier %d: shard %d stall %v negative", epoch, i, st)
-			}
-			if st == 0 {
-				sawZero = true
-			}
-		}
-		if !sawZero {
-			t.Errorf("barrier %d: no shard at zero stall — the slowest shard defines the barrier", epoch)
-		}
-	}
-	res := RunSharded(SchemeDeWrite, prof, cfg, hooked)
-	got := reportBytes(t, NewRunReport(res, nil))
-
-	if calls == 0 {
-		t.Fatal("OnBarrier never called")
-	}
-	if calls != res.Sharding.Epochs || lastEpoch != res.Sharding.Epochs {
-		t.Fatalf("OnBarrier called %d times (last epoch %d), report says %d epochs",
-			calls, lastEpoch, res.Sharding.Epochs)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("OnBarrier hook changed the run report:\n--- plain ---\n%s\n--- hooked ---\n%s", want, got)
+	if res.Sharding.EpochRequests != DefaultEpochRequests {
+		t.Fatalf("block says %d requests per epoch, want %d", res.Sharding.EpochRequests, DefaultEpochRequests)
 	}
 }

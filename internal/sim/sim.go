@@ -12,7 +12,6 @@ import (
 	"dewrite/internal/cache"
 	"dewrite/internal/config"
 	"dewrite/internal/core"
-	"dewrite/internal/cpu"
 	"dewrite/internal/fault"
 	"dewrite/internal/nvm"
 	"dewrite/internal/stats"
@@ -211,12 +210,10 @@ type Options struct {
 	// misses and write-backs reach the memory scheme.
 	Hierarchy *cache.Hierarchy
 	// Tracer, when non-nil, receives request spans, component spans and
-	// periodic counter samples. Tracing only observes the simulated clock —
-	// a run's Result is identical with and without it.
+	// counter samples every Requests/256 requests (at least 1). Tracing only
+	// observes the simulated clock — a run's Result is identical with and
+	// without it.
 	Tracer *telemetry.Tracer
-	// SampleEvery is the request period of the counter time series; 0 picks
-	// Requests/256 (at least 1). Ignored without a Tracer.
-	SampleEvery int
 	// Timeline, when non-nil, collects the epoch time series: the collector
 	// is ticked once per request and the closed epochs land in
 	// Result.Timeline. Like the Tracer it is purely observational — a run's
@@ -289,18 +286,6 @@ func Prepare(prof workload.Profile, opts Options) *Prepared {
 	return p
 }
 
-// samplePeriod resolves the counter-sampling period for a run of n requests.
-func (o Options) samplePeriod(n int) int {
-	if o.SampleEvery > 0 {
-		return o.SampleEvery
-	}
-	p := n / 256
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // Result is the measurement of one (application, scheme) run.
 type Result struct {
 	App    string
@@ -355,8 +340,8 @@ type Result struct {
 // built from this, not from the memory handed to Run.
 func (r Result) FinalMemory() Memory { return r.finalMem }
 
-// Run drives opts.Requests generator requests through mem and returns the
-// measurements.
+// Run drives opts.Requests requests — from a generator over prof, or the
+// prepared stream — through mem on one lane and returns the measurements.
 func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts Options) Result {
 	if opts.Requests <= 0 {
 		panic("sim: non-positive request count")
@@ -382,251 +367,70 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		// generator can recycle displaced line buffers.
 		gen.SetRecycle(opts.Hierarchy == nil)
 	}
-	machine := cpu.NewMachine(prof.Threads)
-
-	trc := opts.Tracer
-	if trc.Enabled() {
-		AttachTracer(mem, trc)
-	}
-	rec := opts.Attr
-	if rec.Enabled() {
-		AttachAttr(mem, rec)
-		if trc.Enabled() {
-			rec.SetTracer(trc)
-		}
-	}
-	samplePeriod := opts.samplePeriod(opts.Requests)
-
-	// The timeline source combines the scheme's own epoch sampler (when it
-	// has one) with the harness-level zero-write count, which the schemes
-	// other than Shredder don't track themselves.
-	tl := opts.Timeline
-	var zeroWrites uint64
-	var tlSrc timeline.Sampler
-	var schemeSampler timeline.Sampler
-	if tl.Enabled() {
-		schemeSampler, _ = mem.(timeline.Sampler)
-		tlSrc = timeline.SamplerFunc(func(e *timeline.Epoch, now units.Time) {
-			if schemeSampler != nil {
-				schemeSampler.SampleEpoch(e, now)
-			}
-			e.ZeroWrites = zeroWrites
-		})
-	}
-
-	var res Result
-	res.App = app
-	res.Scheme = schemeName
-
-	// Measurement baselines captured at the warmup boundary.
-	var instr0, cycles0 uint64
-	var gen0 workload.Stats
-	var dev0 nvm.Stats
-
-	var writeLat, readLat stats.Latency
-	var lastDone units.Time
+	trc, tl, h := opts.Tracer, opts.Timeline, opts.Hierarchy
+	l := newLane(mem, prof.Threads, trc, opts.Attr, tl.Enabled())
+	samplePeriod := uint64(max(opts.Requests/256, 1))
 	shadow := map[uint64][]byte{} // line contents for hierarchy write-backs
 
-	// Read plaintext is discarded by the harness; decrypt into one reusable
-	// buffer when the scheme supports it.
-	ri, _ := mem.(readerInto)
-	var readBuf [config.LineSize]byte
-	read := func(issue units.Time, addr uint64) units.Time {
-		if ri != nil {
-			return ri.ReadInto(issue, addr, readBuf[:])
-		}
-		_, done := mem.Read(issue, addr)
-		return done
-	}
-
-	// doCrash swaps mem for its crash-recovered successor mid-loop. Recovery
-	// is instantaneous in simulated time (the scrub runs at boot); the CPU
-	// machine state deliberately survives — the crash model covers the memory
-	// system, not the cores. The recovered device's counters restart from the
-	// loaded state, so the warmup baseline is re-zeroed: pre-crash device
-	// traffic is lost from the measurement, exactly as it is lost to the
-	// power cut.
-	doCrash := func() {
-		nm, rep, err := crashRecover(mem)
-		if err != nil {
-			panic(fmt.Sprintf("sim: crash point at %d: %v (build the memory with NewMemoryWith track=true)",
-				opts.CrashAt, err))
-		}
-		rep.CrashedAt = opts.CrashAt
-		res.Crash = rep
-		mem = nm
-		if trc.Enabled() {
-			AttachTracer(mem, trc)
-		}
-		if rec.Enabled() {
-			// The same recorder survives the power cycle, so the attribution
-			// ledger stays cumulative while the device's counters restart.
-			AttachAttr(mem, rec)
-		}
-		ri, _ = mem.(readerInto)
-		if tl.Enabled() {
-			schemeSampler, _ = mem.(timeline.Sampler)
-		}
-		dev0 = nvm.Stats{}
-	}
-
+	res := Result{App: app, Scheme: schemeName}
+	var gen0 workload.Stats // generator counters at the warmup boundary
 	for i := 0; i < opts.Requests; i++ {
-		if i == opts.Warmup {
-			instr0 = machine.Instructions()
-			cycles0 = machine.Cycles()
-			if prep != nil {
-				gen0 = prep.GenWarm
-			} else {
-				gen0 = gen.Stats()
-			}
-			if dev := DeviceOf(mem); dev != nil {
-				dev0 = dev.Stats()
-			}
-		}
-		measuring := i >= opts.Warmup
 		var req trace.Request
 		if prep != nil {
 			req = prep.Requests[i]
 		} else {
+			if i == opts.Warmup {
+				gen0 = gen.Stats()
+			}
 			req = gen.Next()
 		}
-		th := req.Thread
-		machine.Execute(th, req.Gap)
-		if measuring {
-			res.Requests++
-		}
-
-		if opts.Hierarchy == nil {
-			if req.Op == trace.Write {
-				// Ordered persistent write: stall on the previous write's
-				// persist, then issue; the write occupies its bank while the
-				// thread runs ahead, so later requests to that bank queue
-				// behind it — the paper's contention mechanism.
-				issue := machine.IssueWrite(th)
-				if tl.Enabled() && baseline.IsZeroLine(req.Data) {
-					zeroWrites++
+		th, measuring := req.Thread, i >= opts.Warmup
+		l.begin(th, req.Gap, measuring)
+		switch {
+		case h == nil && req.Op == trace.Write:
+			l.write(th, req.Addr, req.Data, "", measuring)
+		case h == nil:
+			l.read(th, req.Addr, false, measuring)
+		default:
+			// Cache-filtered path: only misses and dirty write-backs reach
+			// the scheme.
+			store := req.Op == trace.Write
+			if store {
+				shadow[req.Addr] = req.Data
+			}
+			acc := h.Access(req.Addr, store)
+			l.machine.Delay(th, acc.Latency)
+			if acc.MemFill {
+				l.read(th, req.Addr, true, measuring)
+			}
+			for _, wb := range acc.Writebacks {
+				data := shadow[wb]
+				if data == nil {
+					data = zeroLine[:]
 				}
-				rec.Begin(attr.KindWrite, req.Addr, issue)
-				done := mem.Write(issue, req.Addr, req.Data)
-				rec.End(done)
-				machine.RetireWrite(th, done)
-				trc.Span(telemetry.CatWrite, telemetry.TrackRequestBase+int32(th), "", issue, done, req.Addr)
-				if done > lastDone {
-					lastDone = done
-				}
-				if measuring {
-					writeLat.Observe(done.Sub(issue))
-					res.MemWrites++
-				}
-			} else {
-				issue := machine.IssueRead(th)
-				rec.Begin(attr.KindRead, req.Addr, issue)
-				done := read(issue, req.Addr)
-				rec.End(done)
-				machine.RetireRead(th, done)
-				trc.Span(telemetry.CatRead, telemetry.TrackRequestBase+int32(th), "", issue, done, req.Addr)
-				if done > lastDone {
-					lastDone = done
-				}
-				if measuring {
-					readLat.Observe(done.Sub(issue))
-					res.MemReads++
-				}
-			}
-			if trc.Enabled() && (i+1)%samplePeriod == 0 {
-				emitSamples(mem, trc, lastDone, uint64(i+1))
-			}
-			tl.Tick(lastDone, uint64(i+1), tlSrc)
-			if opts.CrashAt != 0 && uint64(i+1) == opts.CrashAt {
-				doCrash()
-			}
-			continue
-		}
-
-		// Cache-filtered path: only misses and dirty write-backs reach NVM.
-		store := req.Op == trace.Write
-		if store {
-			shadow[req.Addr] = req.Data
-		}
-		acc := opts.Hierarchy.Access(req.Addr, store)
-		machine.Delay(th, acc.Latency)
-		if acc.MemFill {
-			issue := machine.Now(th)
-			rec.Begin(attr.KindRead, req.Addr, issue)
-			done := read(issue, req.Addr)
-			rec.End(done)
-			machine.CompleteRead(th, done)
-			trc.Span(telemetry.CatRead, telemetry.TrackRequestBase+int32(th), "", issue, done, req.Addr)
-			if done > lastDone {
-				lastDone = done
-			}
-			if measuring {
-				readLat.Observe(done.Sub(issue))
-				res.MemReads++
+				l.write(th, wb, data, "writeback", measuring)
 			}
 		}
-		for _, wb := range acc.Writebacks {
-			data := shadow[wb]
-			if data == nil {
-				data = zeroLine[:]
-			}
-			if tl.Enabled() && baseline.IsZeroLine(data) {
-				zeroWrites++
-			}
-			issue := machine.IssueWrite(th)
-			rec.Begin(attr.KindWrite, wb, issue)
-			done := mem.Write(issue, wb, data)
-			rec.End(done)
-			machine.RetireWrite(th, done)
-			trc.Span(telemetry.CatWrite, telemetry.TrackRequestBase+int32(th), "writeback", issue, done, wb)
-			if done > lastDone {
-				lastDone = done
-			}
-			if measuring {
-				writeLat.Observe(done.Sub(issue))
-				res.MemWrites++
-			}
+		n := uint64(i + 1)
+		if trc.Enabled() && n%samplePeriod == 0 {
+			emitSamples(l.mem, trc, l.lastDone, n)
 		}
-		if trc.Enabled() && (i+1)%samplePeriod == 0 {
-			emitSamples(mem, trc, lastDone, uint64(i+1))
-		}
-		tl.Tick(lastDone, uint64(i+1), tlSrc)
-		if opts.CrashAt != 0 && uint64(i+1) == opts.CrashAt {
-			doCrash()
+		tl.Tick(l.lastDone, n, l)
+		if n == opts.CrashAt {
+			res.Crash = l.crash(n)
 		}
 	}
 
-	tl.Finish(lastDone, uint64(opts.Requests), tlSrc)
+	tl.Finish(l.lastDone, uint64(opts.Requests), l)
 	res.Timeline = tl.Report()
-	res.Attribution = rec.Report()
-
+	res.Attribution = opts.Attr.Report()
 	if prep != nil {
-		res.Gen = genDelta(prep.GenFinal, gen0)
+		res.Gen = genDelta(prep.GenFinal, prep.GenWarm)
 	} else {
 		res.Gen = genDelta(gen.Stats(), gen0)
 	}
-	res.Instructions = machine.Instructions() - instr0
-	res.Cycles = machine.Cycles() - cycles0
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	res.Elapsed = units.Duration(res.Cycles) * units.NewClock(config.CPUHz).Period()
-	res.MeanWriteLat = writeLat.Mean()
-	res.MeanReadLat = readLat.Mean()
-	res.P50WriteLat = writeLat.P50()
-	res.P95WriteLat = writeLat.P95()
-	res.P99WriteLat = writeLat.P99()
-	res.P50ReadLat = readLat.P50()
-	res.P95ReadLat = readLat.P95()
-	res.P99ReadLat = readLat.P99()
-	res.WriteLatSum = writeLat.Sum()
-	res.ReadLatSum = readLat.Sum()
-	if dev := DeviceOf(mem); dev != nil {
-		st := devDelta(dev.Stats(), dev0)
-		res.EnergyPJ = st.EnergyPJ
-		res.Device = st
-	}
-	res.finalMem = mem
+	finish(&res, []*lane{l})
+	res.finalMem = l.mem
 	return res
 }
 
@@ -641,23 +445,6 @@ func genDelta(a, b workload.Stats) workload.Stats {
 		Reads:      a.Reads - b.Reads,
 		Duplicates: a.Duplicates - b.Duplicates,
 		ZeroWrites: a.ZeroWrites - b.ZeroWrites,
-	}
-}
-
-// devDelta subtracts the warmup baseline from the device counters; the mean
-// and percentile waits remain whole-run values.
-func devDelta(a, b nvm.Stats) nvm.Stats {
-	return nvm.Stats{
-		Reads:         a.Reads - b.Reads,
-		RowHits:       a.RowHits - b.RowHits,
-		Writes:        a.Writes - b.Writes,
-		BitsFlipped:   a.BitsFlipped - b.BitsFlipped,
-		BitsWritten:   a.BitsWritten - b.BitsWritten,
-		EnergyPJ:      a.EnergyPJ - b.EnergyPJ,
-		MeanReadWait:  a.MeanReadWait,
-		MeanWriteWait: a.MeanWriteWait,
-		P99ReadWait:   a.P99ReadWait,
-		P99WriteWait:  a.P99WriteWait,
 	}
 }
 
@@ -699,80 +486,10 @@ func RelativeEnergy(r, base Result) float64 {
 // Run uses, returning the measurements. The trace's Gap/Thread fields drive
 // the timing; thread indices must be dense starting at zero.
 func RunTrace(tr *trace.Trace, mem Memory, warmup int) Result {
-	if len(tr.Requests) == 0 {
-		panic("sim: empty trace")
-	}
-	if warmup < 0 || warmup >= len(tr.Requests) {
-		panic("sim: warmup must be in [0, len(trace))")
-	}
-	threads := tr.Summarize().Threads
-	if threads < 1 {
-		threads = 1
-	}
-	machine := cpu.NewMachine(threads)
-
-	var res Result
-	res.App = tr.Name
-	res.Scheme = "trace"
-
-	var instr0, cycles0 uint64
-	var dev0 nvm.Stats
-	var writeLat, readLat stats.Latency
-
-	for i := range tr.Requests {
-		if i == warmup {
-			instr0 = machine.Instructions()
-			cycles0 = machine.Cycles()
-			if dev := DeviceOf(mem); dev != nil {
-				dev0 = dev.Stats()
-			}
-		}
-		measuring := i >= warmup
-		req := &tr.Requests[i]
-		th := req.Thread
-		machine.Execute(th, req.Gap)
-		if measuring {
-			res.Requests++
-		}
-		if req.Op == trace.Write {
-			issue := machine.IssueWrite(th)
-			done := mem.Write(issue, req.Addr, req.Data)
-			machine.RetireWrite(th, done)
-			if measuring {
-				writeLat.Observe(done.Sub(issue))
-				res.MemWrites++
-			}
-		} else {
-			issue := machine.IssueRead(th)
-			_, done := mem.Read(issue, req.Addr)
-			machine.RetireRead(th, done)
-			if measuring {
-				readLat.Observe(done.Sub(issue))
-				res.MemReads++
-			}
-		}
-	}
-
-	res.Instructions = machine.Instructions() - instr0
-	res.Cycles = machine.Cycles() - cycles0
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	res.Elapsed = units.Duration(res.Cycles) * units.NewClock(config.CPUHz).Period()
-	res.MeanWriteLat = writeLat.Mean()
-	res.MeanReadLat = readLat.Mean()
-	res.P50WriteLat = writeLat.P50()
-	res.P95WriteLat = writeLat.P95()
-	res.P99WriteLat = writeLat.P99()
-	res.P50ReadLat = readLat.P50()
-	res.P95ReadLat = readLat.P95()
-	res.P99ReadLat = readLat.P99()
-	res.WriteLatSum = writeLat.Sum()
-	res.ReadLatSum = readLat.Sum()
-	if dev := DeviceOf(mem); dev != nil {
-		st := devDelta(dev.Stats(), dev0)
-		res.EnergyPJ = st.EnergyPJ
-		res.Device = st
-	}
-	return res
+	prof := workload.Profile{Name: tr.Name, Threads: tr.Summarize().Threads}
+	return Run(tr.Name, "trace", mem, prof, Options{
+		Requests: len(tr.Requests),
+		Warmup:   warmup,
+		Prepared: &Prepared{App: tr.Name, Requests: tr.Requests, Warmup: warmup},
+	})
 }
