@@ -48,9 +48,9 @@ type lane struct {
 }
 
 // newLane builds a lane of threads CPU threads over mem. trc and rec may be
-// nil; timeline reports whether a timeline collector samples the lane.
-func newLane(mem Memory, threads int, trc *telemetry.Tracer, rec *attr.Recorder, timeline bool) *lane {
-	l := &lane{machine: cpu.NewMachine(threads), trc: trc, rec: rec, countZeros: timeline}
+// nil; sampled reports whether a timeline collector samples the lane.
+func newLane(mem Memory, threads int, trc *telemetry.Tracer, rec *attr.Recorder, sampled bool) *lane {
+	l := &lane{machine: cpu.NewMachine(threads), trc: trc, rec: rec, countZeros: sampled}
 	l.attach(mem)
 	if rec.Enabled() && trc.Enabled() {
 		rec.SetTracer(trc)

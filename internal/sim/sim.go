@@ -223,8 +223,9 @@ type Options struct {
 	// Prepared, when non-nil, replays a pre-generated request stream instead
 	// of running a generator: the run consumes Prepared.Requests verbatim and
 	// takes its generator ground truth from the prepared snapshots. It must
-	// have been built by Prepare with the same Requests, Warmup and profile;
-	// Seed is ignored. Several runs (one per scheme) may share one Prepared
+	// have been built by Prepare with the same Requests, Warmup and profile
+	// (RunTrace wraps a trace instead, with zero ground truth); Seed is
+	// ignored. Several runs (one per scheme) may share one Prepared
 	// concurrently — the stream is immutable.
 	Prepared *Prepared
 	// Attr, when non-nil, is the attribution recorder: the run opens a
