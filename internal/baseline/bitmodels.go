@@ -1,7 +1,9 @@
 package baseline
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dewrite/internal/cme"
 	"dewrite/internal/config"
@@ -19,19 +21,12 @@ type BitModel interface {
 	Write(loc uint64, newPlain []byte) int
 }
 
-// hamming returns the number of differing bits between equal-length slices.
+// hamming returns the number of differing bits between equal-length slices
+// whose length is a multiple of 8 (every model line is LineSize bytes).
 func hamming(a, b []byte) int {
 	n := 0
-	for i := range a {
-		n += popcount(a[i] ^ b[i])
-	}
-	return n
-}
-
-func popcount(b byte) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
+	for i := 0; i < len(a); i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]))
 	}
 	return n
 }
@@ -130,8 +125,8 @@ func (f *FNW) Write(loc uint64, newPlain []byte) int {
 	flips := 0
 	for w := 0; w < FNWWordsPerLine; w++ {
 		next := uint32(ct[4*w]) | uint32(ct[4*w+1])<<8 | uint32(ct[4*w+2])<<16 | uint32(ct[4*w+3])<<24
-		plainCost := popcount32(line.words[w]^next) + flagCost(line.flags[w], false)
-		invCost := popcount32(line.words[w]^^next) + flagCost(line.flags[w], true)
+		plainCost := bits.OnesCount32(line.words[w]^next) + flagCost(line.flags[w], false)
+		invCost := bits.OnesCount32(line.words[w]^^next) + flagCost(line.flags[w], true)
 		if invCost < plainCost {
 			line.words[w] = ^next
 			line.flags[w] = true
@@ -150,14 +145,6 @@ func flagCost(old, new bool) int {
 		return 1
 	}
 	return 0
-}
-
-func popcount32(v uint32) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 // DEUCEEpoch is the number of writes between full re-encryptions.

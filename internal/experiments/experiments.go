@@ -242,21 +242,25 @@ func (s *Suite) Prepared(prof workload.Profile) *sim.Prepared {
 func (s *Suite) CoreReport(prof workload.Profile) core.Report {
 	e := memoCell(&s.mu, s.reports, profileKey(prof))
 	e.once.Do(func() {
-		prep := s.Prepared(prof)
 		ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: s.cfg})
-		var now units.Time
-		var buf [config.LineSize]byte
-		for i := range prep.Requests {
-			req := &prep.Requests[i]
-			if req.Op == trace.Write {
-				now = ctrl.Write(now, req.Addr, req.Data)
-			} else {
-				now = ctrl.ReadInto(now, req.Addr, buf[:])
-			}
-		}
+		replay(ctrl, s.Prepared(prof))
 		e.v = ctrl.Report()
 	})
 	return e.v
+}
+
+// replay drives the controller through the prepared request stream.
+func replay(ctrl *core.Controller, prep *sim.Prepared) {
+	var now units.Time
+	var buf [config.LineSize]byte
+	for i := range prep.Requests {
+		req := &prep.Requests[i]
+		if req.Op == trace.Write {
+			now = ctrl.Write(now, req.Addr, req.Data)
+		} else {
+			now = ctrl.ReadInto(now, req.Addr, buf[:])
+		}
+	}
 }
 
 // Config returns the suite's machine configuration.

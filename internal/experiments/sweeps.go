@@ -8,8 +8,6 @@ import (
 	"dewrite/internal/dedup"
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
-	"dewrite/internal/trace"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -60,15 +58,14 @@ func Figure21(s *Suite) []*stats.Table {
 	// cooperative budget. Each job writes its own slot; the means and the
 	// table rows are then assembled in the original sweep order, so the
 	// output is byte-identical to the sequential nesting.
-	type cell struct {
-		cfg  config.Config
-		part int
-	}
-	var cells []cell
+	//
+	// One replay yields all four partitions' hit rates, so each (b)+(c)
+	// configuration is replayed once for both tables.
+	var cells []config.Config
 	for _, kb := range sizesKB { // Figure 21(a): hash table
 		cfg := s.Config()
 		cfg.MetaCache.HashBytes = kb * 1024
-		cells = append(cells, cell{cfg, 0})
+		cells = append(cells, cfg)
 	}
 	for _, kb := range sizesKB { // Figure 21(b)+(c): addr map and inverted hash
 		for _, pf := range prefetches {
@@ -76,30 +73,34 @@ func Figure21(s *Suite) []*stats.Table {
 			cfg.MetaCache.AddrMapBytes = kb * 1024
 			cfg.MetaCache.InvHashBytes = kb * 1024
 			cfg.MetaCache.PrefetchEnts = pf
-			cells = append(cells, cell{cfg, 1}, cell{cfg, 2})
+			cells = append(cells, cfg)
 		}
 	}
 	fsmSizes := []int{4, 16, 64, 128}
 	for _, kb := range fsmSizes { // Figure 21(d): FSM
 		cfg := s.Config()
 		cfg.MetaCache.FSMBytes = kb * 1024
-		cells = append(cells, cell{cfg, 3})
+		cells = append(cells, cfg)
 	}
 
 	np := len(profiles)
-	rates := make([]float64, len(cells)*np)
-	Fan(len(rates), func(j int) {
-		c := cells[j/np]
-		rates[j] = hitRate(s, profiles[j%np], c.cfg, c.part)
+	var rates [4][]float64 // per partition, indexed by cell × profile
+	for p := range rates {
+		rates[p] = make([]float64, len(cells)*np)
+	}
+	Fan(len(cells)*np, func(j int) {
+		for p, r := range hitRates(s, profiles[j%np], cells[j/np]) {
+			rates[p][j] = r
+		}
 	})
-	cellMean := func(i int) float64 {
-		return mean(rates[i*np : (i+1)*np])
+	cellMean := func(i, part int) float64 {
+		return mean(rates[part][i*np : (i+1)*np])
 	}
 
 	next := 0
 	hash := stats.NewTable("Figure 21(a): hash-table cache hit rate (%)", "size KB", "hit %")
 	for _, kb := range sizesKB {
-		hash.AddRow(kb, cellMean(next)*100)
+		hash.AddRow(kb, cellMean(next, 0)*100)
 		next++
 	}
 
@@ -111,9 +112,8 @@ func Figure21(s *Suite) []*stats.Table {
 		rowA := []interface{}{kb}
 		rowI := []interface{}{kb}
 		for range prefetches {
-			rowA = append(rowA, cellMean(next)*100)
-			next++
-			rowI = append(rowI, cellMean(next)*100)
+			rowA = append(rowA, cellMean(next, 1)*100)
+			rowI = append(rowI, cellMean(next, 2)*100)
 			next++
 		}
 		addr.AddRow(rowA...)
@@ -122,7 +122,7 @@ func Figure21(s *Suite) []*stats.Table {
 
 	fsm := stats.NewTable("Figure 21(d): FSM cache hit rate (%)", "size KB", "hit %")
 	for _, kb := range fsmSizes {
-		fsm.AddRow(kb, cellMean(next)*100)
+		fsm.AddRow(kb, cellMean(next, 3)*100)
 		next++
 	}
 	return []*stats.Table{hash, addr, inv, fsm}
@@ -136,23 +136,18 @@ func prefetchCols(prefetches []int) []string {
 	return cols
 }
 
-// hitRate runs DeWrite on one profile under cfg and returns the hit rate
-// of the selected metadata-cache partition (0 hash, 1 addr, 2 inv, 3 fsm).
-// Each call is hermetic — fresh controller, fresh seeded generator — so
-// calls for different (cfg, part, profile) cells can run concurrently.
-func hitRate(s *Suite, prof workload.Profile, cfg config.Config, part int) float64 {
+// hitRates replays the profile's prepared stream through DeWrite under cfg
+// and returns the hit rates of the four metadata-cache partitions (hash,
+// addr, inv, fsm). Each call builds its own controller, so calls for
+// different (cfg, profile) cells can run concurrently.
+func hitRates(s *Suite, prof workload.Profile, cfg config.Config) [4]float64 {
 	ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
-	gen := workload.NewGenerator(prof, s.Opts.Seed)
-	var now units.Time
-	for i := 0; i < s.Opts.Requests; i++ {
-		req := gen.Next()
-		if req.Op == trace.Write {
-			now = ctrl.Write(now, req.Addr, req.Data)
-		} else {
-			_, now = ctrl.Read(now, req.Addr)
-		}
+	replay(ctrl, s.Prepared(prof))
+	var r [4]float64
+	for i, c := range ctrl.MetaCaches() {
+		r[i] = c.HitRate()
 	}
-	return ctrl.MetaCaches()[part].HitRate()
+	return r
 }
 
 // TableMeta reproduces the Section IV-E1 storage-overhead analysis: the size

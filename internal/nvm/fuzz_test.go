@@ -6,12 +6,14 @@ import (
 
 	"dewrite/internal/config"
 	"dewrite/internal/fault"
+	"dewrite/internal/timeline"
 )
 
 // FuzzLoadContents checks the device-state parser against truncated and
 // corrupted input, for both the plain DWNV1 layout and the fault-carrying
 // DWNV2 layout: it must error — never panic, never allocate from an
-// unvalidated length prefix — and accepted state must round-trip.
+// unvalidated length prefix — and accepted state must keep per-bank and
+// per-line wear in agreement and round-trip.
 func FuzzLoadContents(f *testing.F) {
 	cfg := config.Default()
 	cfg.NVM.Ranks = 1
@@ -64,11 +66,23 @@ func FuzzLoadContents(f *testing.F) {
 	f.Add(huge)
 	f.Add([]byte("DWNV2\n"))
 	f.Add([]byte{})
+	// A line listed twice must be rejected, not counted twice in bank wear.
+	f.Add(encodeV1(cfg.NVM.Lines(), []savedLine{{3, 5, line[:]}, {3, 5, line[:]}}))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		d := newDev()
 		if err := d.LoadContents(bytes.NewReader(blob)); err != nil {
 			return
+		}
+		// The per-bank wear books must agree with the per-line wear.
+		var e timeline.Epoch
+		d.SampleEpoch(&e, 0, 0)
+		var bankSum uint64
+		for _, n := range e.BankWear {
+			bankSum += n
+		}
+		if total := d.WearStats().TotalWrites; bankSum != total {
+			t.Fatalf("per-bank wear sums to %d, per-line wear to %d", bankSum, total)
 		}
 		var out bytes.Buffer
 		if err := d.SaveContents(&out); err != nil {

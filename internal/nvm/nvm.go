@@ -1,6 +1,7 @@
 // Package nvm models the PCM main-memory device: a set of independent banks
-// with asymmetric read/write latencies, a sparse backing store holding real
-// line contents, per-line wear counters, and per-operation energy accounting.
+// with asymmetric read/write latencies, a paged line store allocated on first
+// touch that holds real line contents and per-line wear counters, and
+// per-operation energy accounting.
 //
 // The timing model is the first-order one the paper's analysis relies on:
 // each bank services requests FCFS, so a request issued at time t to a bank
@@ -11,7 +12,9 @@
 package nvm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
@@ -33,19 +36,20 @@ type Device struct {
 	banks    []bankState
 	channels []units.Time // busy-until per channel bus (empty = disabled)
 	busLat   units.Duration
-	store    map[uint64][]byte
-	wear     map[uint64]uint64
+	lines    lineStore
 	trc      *telemetry.Tracer // nil when tracing is off
 	rec      *attr.Recorder    // nil when attribution is off
 	led      *attr.Ledger      // rec's ledger, cached (nil when attribution is off)
 	faults   *faultState       // nil when the fault layer is not armed
 
-	// Incrementally maintained views of d.wear, so per-epoch sampling never
-	// scans the full wear map: cumulative writes per bank, and a wear-value →
-	// line-count histogram over the data region (addresses below wearBound;
-	// 0 = whole device). The histogram is built lazily on the first
-	// SampleEpoch — runs that never sample pay nothing — then kept current
-	// by Write; LoadContents invalidates it.
+	// Incrementally maintained views of the per-line wear, so per-epoch
+	// sampling never scans the line store: cumulative writes per bank, and a
+	// wear-value → line-count histogram over the data region (addresses
+	// below wearBound; 0 = whole device). The histogram is built lazily on
+	// the first SampleEpoch — runs that never sample pay nothing — then kept
+	// current by Write; LoadContents invalidates it. It stays a map: it is
+	// touched only once sampling has started, and has one entry per distinct
+	// wear value, not per line.
 	bankWear  []uint64
 	wearHist  map[uint64]uint64
 	wearBound uint64
@@ -77,8 +81,6 @@ func New(geom config.NVMGeometry, timing config.Timing, energy config.Energy) *D
 		busLat:    timing.NVMBus,
 		energy:    energy,
 		banks:     make([]bankState, geom.Banks()),
-		store:     make(map[uint64][]byte),
-		wear:      make(map[uint64]uint64),
 		bankWear:  make([]uint64, geom.Banks()),
 	}
 	if geom.Channels > 0 {
@@ -212,8 +214,8 @@ func (d *Device) readInto(now units.Time, lineAddr uint64, open bool, dst []byte
 		if len(dst) != config.LineSize {
 			panic(fmt.Sprintf("nvm: read into %d bytes, want %d", len(dst), config.LineSize))
 		}
-		if line, ok := d.store[lineAddr]; ok {
-			copy(dst, line)
+		if p := d.lines.page(lineAddr); p != nil {
+			copy(dst, p.data[lineAddr%pageLines][:])
 		} else {
 			clear(dst)
 		}
@@ -297,10 +299,12 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 	d.writeWait.Observe(start.Sub(units.Min(now, busDone)))
 	d.energyPJ += d.energy.NVMWriteLine
 	d.led.RecordWrite(cause, bank, d.energy.NVMWriteLine)
-	d.wear[phys]++
+	p := d.lines.touch(phys)
+	i := phys % pageLines
+	p.wear[i]++
 	d.bankWear[bank]++
 	if d.histReady && (d.wearBound == 0 || phys < d.wearBound) {
-		nw := d.wear[phys]
+		nw := p.wear[i]
 		if nw > 1 {
 			if d.wearHist[nw-1] == 1 {
 				delete(d.wearHist, nw-1)
@@ -314,21 +318,13 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 		return done
 	}
 
-	old := d.store[phys]
-	flips := 0
-	if old == nil {
-		for _, b := range data {
-			flips += popcount(b)
-		}
-	} else {
-		for i := range data {
-			flips += popcount(old[i] ^ data[i])
-		}
-	}
-	d.bitsFlipped.Add(uint64(flips))
+	// A line without contents holds zeros, so one count covers a first write
+	// and an overwrite alike.
+	line := &p.data[i]
+	d.bitsFlipped.Add(uint64(flipCount(line, (*[config.LineSize]byte)(data))))
 	d.bitsWritten.Add(config.LineBits)
-
-	d.pokeRaw(phys, data)
+	copy(line[:], data)
+	p.valid |= 1 << i
 	return done
 }
 
@@ -337,8 +333,9 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 func (d *Device) Peek(lineAddr uint64) []byte {
 	d.checkAddr(lineAddr)
 	out := make([]byte, config.LineSize)
-	if line, ok := d.store[d.resolve(lineAddr)]; ok {
-		copy(out, line)
+	phys := d.resolve(lineAddr)
+	if p := d.lines.page(phys); p != nil {
+		copy(out, p.data[phys%pageLines][:])
 	}
 	return out
 }
@@ -351,12 +348,10 @@ func (d *Device) Poke(lineAddr uint64, data []byte) {
 }
 
 func (d *Device) pokeRaw(phys uint64, data []byte) {
-	line, ok := d.store[phys]
-	if !ok {
-		line = make([]byte, config.LineSize)
-		d.store[phys] = line
-	}
-	copy(line, data)
+	p := d.lines.touch(phys)
+	i := phys % pageLines
+	copy(p.data[i][:], data)
+	p.valid |= 1 << i
 }
 
 // BankBusyUntil reports when the bank holding lineAddr frees up — the
@@ -464,11 +459,11 @@ func (d *Device) SampleEpoch(e *timeline.Epoch, now units.Time, dataLines uint64
 	if !d.histReady || d.wearBound != dataLines {
 		d.wearBound = dataLines
 		d.wearHist = make(map[uint64]uint64)
-		for addr, n := range d.wear {
+		d.lines.eachWorn(func(addr, n uint64) {
 			if dataLines == 0 || addr < dataLines {
 				d.wearHist[n]++
 			}
-		}
+		})
 		d.histReady = true
 	}
 	e.WearMax, e.WearMean, e.WearGini, e.WearCoV, d.wearScratch = timeline.DistHist(d.wearHist, d.wearScratch)
@@ -497,13 +492,13 @@ type Wear struct {
 // WearStats summarizes per-line write counts.
 func (d *Device) WearStats() Wear {
 	var w Wear
-	for _, n := range d.wear {
+	d.lines.eachWorn(func(_, n uint64) {
 		w.TotalWrites += n
 		w.TouchedLines++
 		if n > w.MaxPerLine {
 			w.MaxPerLine = n
 		}
-	}
+	})
 	if w.TouchedLines > 0 {
 		w.MeanPerLine = float64(w.TotalWrites) / float64(w.TouchedLines)
 	}
@@ -511,7 +506,12 @@ func (d *Device) WearStats() Wear {
 }
 
 // WearOf returns the write count of one line.
-func (d *Device) WearOf(lineAddr uint64) uint64 { return d.wear[lineAddr] }
+func (d *Device) WearOf(lineAddr uint64) uint64 {
+	if p := d.lines.page(lineAddr); p != nil {
+		return p.wear[lineAddr%pageLines]
+	}
+	return 0
+}
 
 // LifetimeYears estimates device lifetime under the observed write rate,
 // assuming the given cell endurance (e.g. 1e8 writes for PCM) and perfect
@@ -526,10 +526,74 @@ func (d *Device) LifetimeYears(endurance float64, elapsed units.Duration) float6
 	return seconds / (365.25 * 24 * 3600)
 }
 
-func popcount(b byte) int {
+// pageLines is the number of consecutive lines one page of the line store
+// holds; 64 makes a page's contents bitmap a single word.
+const pageLines = 64
+
+// flipCount reads a line as 8-byte words, so LineSize must be a multiple of
+// 8; this declaration does not compile otherwise.
+var _ [config.LineSize % 8]struct{} = [0]struct{}{}
+
+// linePage holds pageLines consecutive lines: their contents, their wear
+// counts and which of them have contents. A line without contents reads as
+// zero and its data bytes stay zero; a pulse that stores nothing (a write
+// whose verify fails) adds wear without marking the line.
+type linePage struct {
+	data  [pageLines][config.LineSize]byte
+	wear  [pageLines]uint64
+	valid uint64 // bit i set: line i has contents
+}
+
+// lineStore is the device's backing store. Pages are allocated the first
+// time one of their lines is written, so building a device costs nothing
+// and a write does one slice lookup and no per-line allocation.
+type lineStore struct {
+	pages []*linePage // indexed by address / pageLines; nil = never written
+}
+
+// page returns the page holding addr, or nil when none of its lines has been
+// written.
+func (s *lineStore) page(addr uint64) *linePage {
+	if pi := addr / pageLines; pi < uint64(len(s.pages)) {
+		return s.pages[pi]
+	}
+	return nil
+}
+
+// touch returns the page holding addr, allocating it on first use.
+func (s *lineStore) touch(addr uint64) *linePage {
+	pi := addr / pageLines
+	if pi >= uint64(len(s.pages)) {
+		s.pages = append(s.pages, make([]*linePage, pi+1-uint64(len(s.pages)))...)
+	}
+	p := s.pages[pi]
+	if p == nil {
+		p = new(linePage)
+		s.pages[pi] = p
+	}
+	return p
+}
+
+// eachWorn calls fn for every line with nonzero wear, in address order.
+func (s *lineStore) eachWorn(fn func(addr, wear uint64)) {
+	for pi, p := range s.pages {
+		if p == nil {
+			continue
+		}
+		for i, n := range p.wear {
+			if n > 0 {
+				fn(uint64(pi)*pageLines+uint64(i), n)
+			}
+		}
+	}
+}
+
+// flipCount returns the number of bits that differ between two lines,
+// counted eight bytes at a time.
+func flipCount(a, b *[config.LineSize]byte) int {
 	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
+	for i := 0; i < config.LineSize; i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]))
 	}
 	return n
 }

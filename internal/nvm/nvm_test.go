@@ -324,13 +324,22 @@ func TestClosePagePolicyNeverHits(t *testing.T) {
 }
 
 // sampleBrute recomputes what SampleEpoch's incremental views must report,
-// straight from the authoritative wear map.
+// straight from the authoritative per-line wear in the line store's pages.
 func sampleBrute(d *Device, dataLines uint64) (bw []uint64, vals []uint64) {
 	bw = make([]uint64, len(d.banks))
-	for addr, n := range d.wear {
-		bw[d.Bank(addr)] += n
-		if dataLines == 0 || addr < dataLines {
-			vals = append(vals, n)
+	for pi, p := range d.lines.pages {
+		if p == nil {
+			continue
+		}
+		for i, n := range p.wear {
+			addr := uint64(pi)*pageLines + uint64(i)
+			if n == 0 {
+				continue
+			}
+			bw[d.Bank(addr)] += n
+			if dataLines == 0 || addr < dataLines {
+				vals = append(vals, n)
+			}
 		}
 	}
 	return bw, vals

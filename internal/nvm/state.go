@@ -5,9 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
-
-	"dewrite/internal/config"
 )
 
 // Device contents can be saved and restored — the persistence property that
@@ -79,23 +78,30 @@ func (d *Device) SaveContents(w io.Writer) error {
 			}
 		}
 	}
-	addrs := make([]uint64, 0, len(d.store))
-	for a := range d.store {
-		addrs = append(addrs, a)
+	var count uint64
+	for _, p := range d.lines.pages {
+		if p != nil {
+			count += uint64(bits.OnesCount64(p.valid))
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if err := writeU64(uint64(len(addrs))); err != nil {
+	if err := writeU64(count); err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		if err := writeU64(a); err != nil {
-			return err
+	for pi, p := range d.lines.pages {
+		if p == nil {
+			continue
 		}
-		if err := writeU64(d.wear[a]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(d.store[a]); err != nil {
-			return err
+		for v := p.valid; v != 0; v &= v - 1 {
+			i := bits.TrailingZeros64(v)
+			if err := writeU64(uint64(pi)*pageLines + uint64(i)); err != nil {
+				return err
+			}
+			if err := writeU64(p.wear[i]); err != nil {
+				return err
+			}
+			if _, err := bw.Write(p.data[i][:]); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -178,12 +184,12 @@ func (d *Device) LoadContents(r io.Reader) error {
 	if count > addrBound {
 		return fmt.Errorf("nvm: saved state claims %d lines over %d", count, addrBound)
 	}
-	d.store = make(map[uint64][]byte, min64(count, 1<<16))
-	d.wear = make(map[uint64]uint64, min64(count, 1<<16))
-	// The incremental wear views track d.wear, which is being replaced:
+	d.lines = lineStore{}
+	// The incremental wear views track the store, which is being replaced:
 	// rebuild per-bank totals below and let SampleEpoch reseed the histogram.
 	clear(d.bankWear)
 	d.histReady = false
+	var prev uint64
 	for i := uint64(0); i < count; i++ {
 		addr, err := readU64()
 		if err != nil {
@@ -196,15 +202,19 @@ func (d *Device) LoadContents(r io.Reader) error {
 		if addr >= addrBound {
 			return fmt.Errorf("nvm: saved line %#x out of range", addr)
 		}
-		line := make([]byte, config.LineSize)
-		if _, err := io.ReadFull(br, line); err != nil {
+		// SaveContents writes each line once, in increasing address order; a
+		// repeated line would count its wear twice in the per-bank totals.
+		if i > 0 && addr <= prev {
+			return fmt.Errorf("nvm: saved line %#x follows %#x", addr, prev)
+		}
+		prev = addr
+		p, j := d.lines.touch(addr), addr%pageLines
+		if _, err := io.ReadFull(br, p.data[j][:]); err != nil {
 			return fmt.Errorf("nvm: line %#x contents: %w", addr, err)
 		}
-		d.store[addr] = line
-		if wear > 0 {
-			d.wear[addr] = wear
-			d.bankWear[d.Bank(addr)] += wear
-		}
+		p.wear[j] = wear
+		p.valid |= 1 << j
+		d.bankWear[d.Bank(addr)] += wear
 	}
 	return nil
 }
