@@ -43,3 +43,17 @@ func TestEngineAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestCounterStoreBumpAllocations: once a line's page exists, bumping any
+// counter on it allocates nothing.
+func TestCounterStoreBumpAllocations(t *testing.T) {
+	s := NewCounterStore()
+	s.Bump(0x40)
+	addr := uint64(0x40)
+	if avg := testing.AllocsPerRun(200, func() {
+		s.Bump(addr)
+		addr = 0x40 + (addr+1)%64
+	}); avg != 0 {
+		t.Errorf("Bump: %.1f allocs/op, want 0", avg)
+	}
+}

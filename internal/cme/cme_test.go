@@ -2,6 +2,8 @@ package cme
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +218,72 @@ func BenchmarkEncryptLine(b *testing.B) {
 	b.SetBytes(config.LineSize)
 	for i := 0; i < b.N; i++ {
 		e.EncryptLine(line, line, uint64(i), uint64(i))
+	}
+}
+
+func saveCounters(t *testing.T, s *CounterStore) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// counterBlob assembles a saved store from (address, counter) pairs.
+func counterBlob(pairs ...uint64) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(len(pairs)/2))
+	for _, v := range pairs {
+		out = binary.LittleEndian.AppendUint64(out, v)
+	}
+	return out
+}
+
+// TestCounterStoreRoundTrip: counters set out of order across page
+// boundaries save in address order and load back to the same bytes.
+func TestCounterStoreRoundTrip(t *testing.T) {
+	s := NewCounterStore()
+	for _, a := range []uint64{200, 3, 64, 63, 1000} {
+		s.Bump(a)
+	}
+	s.Bump(64)
+	s.Set(5, 9)
+	s.Set(3, 0) // clears the entry
+	s.Set(7, 0) // no entry to clear
+	want := counterBlob(5, 9, 63, 1, 64, 2, 200, 1, 1000, 1)
+	got := saveCounters(t, s)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("SaveTo = %x, want %x", got, want)
+	}
+	if addrs := s.Addrs(); !reflect.DeepEqual(addrs, []uint64{5, 63, 64, 200, 1000}) || s.Len() != len(addrs) {
+		t.Fatalf("Addrs = %v, Len = %d", addrs, s.Len())
+	}
+	back, err := LoadCounterStore(bytes.NewReader(got), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := saveCounters(t, back); !bytes.Equal(again, got) {
+		t.Fatalf("reloaded store saves %x, want %x", again, got)
+	}
+}
+
+// TestLoadCounterStoreRejects: SaveTo never writes a repeated or unordered
+// address, a zero counter, or an address beyond the memory, so none loads.
+// Loaded, a repeated address would keep its last value under a header count
+// that no longer matches, and a zero counter would be an entry that Len,
+// Addrs and SaveTo count while Get reports 0.
+func TestLoadCounterStoreRejects(t *testing.T) {
+	cases := map[string][]byte{
+		"repeated address":  counterBlob(4, 1, 4, 2),
+		"unordered address": counterBlob(9, 1, 4, 2),
+		"zero counter":      counterBlob(4, 0),
+		"beyond lines":      counterBlob(4, 1, 64, 1),
+		"count over lines":  binary.LittleEndian.AppendUint64(nil, 65),
+		"truncated":         counterBlob(4, 1)[:20],
+	}
+	for name, raw := range cases {
+		if _, err := LoadCounterStore(bytes.NewReader(raw), 64); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

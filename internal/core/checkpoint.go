@@ -82,7 +82,7 @@ func Restore(r io.Reader, opts Options) (*Controller, error) {
 			savedLines, opts.DataLines)
 	}
 
-	ctrs, err := cme.LoadCounterStore(br)
+	ctrs, err := cme.LoadCounterStore(br, savedLines)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading counters: %w", err)
 	}

@@ -8,7 +8,8 @@ import (
 // FuzzReadTables checks the snapshot parser never panics and that anything
 // it accepts satisfies the table invariants and round-trips.
 func FuzzReadTables(f *testing.F) {
-	// Seed corpus: a valid snapshot, a truncation, garbage.
+	// Seed corpus: a valid snapshot, a truncation, garbage, and a snapshot
+	// repeating a location record.
 	tb := NewTables(32, 8)
 	tb.PlaceUnique(1, 0x11)
 	tb.MapDuplicate(2, 1)
@@ -21,6 +22,7 @@ func FuzzReadTables(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-9])
 	f.Add([]byte("DWDT1\nxxxxxxxxxxxxxxxxxxxxxxxx"))
+	f.Add(repeatedLocationSnapshot())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -26,11 +26,12 @@ type LocationMeta struct {
 // Mappings returns every current logical → location mapping, sorted by
 // logical address — the deterministic iteration order crash recovery needs.
 func (t *Tables) Mappings() []RecoveredMapping {
-	out := make([]RecoveredMapping, 0, len(t.real))
-	for l, a := range t.real {
-		out = append(out, RecoveredMapping{Logical: l, Location: a})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Logical < out[j].Logical })
+	out := make([]RecoveredMapping, 0, t.mapped)
+	t.real.Each(func(logical uint64, r *uint64) {
+		if *r != 0 {
+			out = append(out, RecoveredMapping{Logical: logical, Location: *r - 1})
+		}
+	})
 	return out
 }
 
@@ -55,12 +56,9 @@ func Rebuild(lines uint64, maxRef uint, mappings []RecoveredMapping, meta map[ui
 		if !ok {
 			return nil, nil, fmt.Errorf("dedup: recovered mapping %#x → %#x references unverified location", m.Logical, m.Location)
 		}
-		l := t.loc[m.Location]
+		l := t.liveLoc(m.Location)
 		if l == nil {
-			l = locPool.Get().(*location)
-			*l = location{hash: lm.Hash, isZero: lm.IsZero}
-			t.loc[m.Location] = l
-			t.indexHash(lm.Hash, m.Location)
+			l = t.claim(m.Location, location{hash: lm.Hash, isZero: lm.IsZero})
 		}
 		if l.refs >= maxRef {
 			dropped = append(dropped, m.Logical)
@@ -80,7 +78,7 @@ func Rebuild(lines uint64, maxRef uint, mappings []RecoveredMapping, meta map[ui
 // Retiring a live location is a bug (its data would be orphaned).
 func (t *Tables) Retire(loc uint64) {
 	t.checkAddr(loc)
-	if t.loc[loc] != nil {
+	if t.liveLoc(loc) != nil {
 		panic(fmt.Sprintf("dedup: retiring live location %#x", loc))
 	}
 	if t.retired == nil {
@@ -104,11 +102,11 @@ func (t *Tables) RetiredCount() int { return len(t.retired) }
 // after PlaceUnique.
 func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 	t.checkAddr(logical)
-	locAddr, mapped := t.real[logical]
+	locAddr, mapped := t.mapping(logical)
 	if !mapped {
 		panic(fmt.Sprintf("dedup: relocating unmapped logical %#x", logical))
 	}
-	l := t.loc[locAddr]
+	l := t.liveLoc(locAddr)
 	if l == nil || l.refs != 1 {
 		panic(fmt.Sprintf("dedup: relocating shared or free location %#x", locAddr))
 	}
@@ -117,7 +115,7 @@ func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 	t.Retire(locAddr)
 	t.relocations.Inc()
 
-	if t.loc[logical] == nil && !t.retired[logical] {
+	if t.isFree(logical) {
 		chosen = logical
 	} else {
 		chosen, ok = t.tryAllocate()
@@ -126,10 +124,7 @@ func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 		}
 		t.displaced.Inc()
 	}
-	nl := locPool.Get().(*location)
-	*nl = location{hash: h, refs: 1, isZero: isZero}
-	t.loc[chosen] = nl
-	t.indexHash(h, chosen)
+	t.claim(chosen, location{hash: h, refs: 1, isZero: isZero})
 	t.setMapping(logical, chosen)
 	return chosen, true
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Snapshotting: the tables can be serialized and restored, the software
@@ -42,51 +41,38 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 
-	// Mappings, sorted for determinism.
-	logicals := make([]uint64, 0, len(t.real))
-	for l := range t.real {
-		logicals = append(logicals, l)
-	}
-	sort.Slice(logicals, func(i, j int) bool { return logicals[i] < logicals[j] })
-	if err := writeU64(uint64(len(logicals))); err != nil {
+	// Mappings, in logical address order.
+	err := writeU64(t.mapped)
+	t.real.Each(func(logical uint64, r *uint64) {
+		if *r == 0 || err != nil {
+			return
+		}
+		if err = writeU64(logical); err == nil {
+			err = writeU64(*r - 1)
+		}
+	})
+	if err != nil {
 		return n, err
-	}
-	for _, l := range logicals {
-		if err := writeU64(l); err != nil {
-			return n, err
-		}
-		if err := writeU64(t.real[l]); err != nil {
-			return n, err
-		}
 	}
 
-	// Live locations (hash, refs, zero flag), sorted.
-	locs := make([]uint64, 0, len(t.loc))
-	for a := range t.loc {
-		locs = append(locs, a)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	if err := writeU64(uint64(len(locs))); err != nil {
-		return n, err
-	}
-	for _, a := range locs {
-		l := t.loc[a]
-		if err := writeU64(a); err != nil {
-			return n, err
-		}
-		if err := writeU64(uint64(l.hash)); err != nil {
-			return n, err
-		}
-		if err := writeU64(uint64(l.refs)); err != nil {
-			return n, err
+	// Live locations (hash, refs, zero flag), in address order.
+	err = writeU64(t.live)
+	t.loc.Each(func(a uint64, l *location) {
+		if !l.live || err != nil {
+			return
 		}
 		z := uint64(0)
 		if l.isZero {
 			z = 1
 		}
-		if err := writeU64(z); err != nil {
-			return n, err
+		for _, v := range [...]uint64{a, uint64(l.hash), uint64(l.refs), z} {
+			if err = writeU64(v); err != nil {
+				return
+			}
 		}
+	})
+	if err != nil {
+		return n, err
 	}
 
 	// Free list, compacted: the in-memory list keeps stale entries (slots
@@ -95,7 +81,7 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 	var freed []uint64
 	seen := make(map[uint64]bool)
 	for _, a := range t.freed {
-		if t.loc[a] == nil && !seen[a] {
+		if t.liveLoc(a) == nil && !seen[a] {
 			freed = append(freed, a)
 			seen[a] = true
 		}
@@ -113,7 +99,9 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 
 // ReadTables deserializes a snapshot written by WriteTo. The hash index is
 // rebuilt from the live locations (the recovery walk), and the result
-// satisfies CheckInvariants.
+// satisfies CheckInvariants. Mapping and location records must be in
+// strictly increasing address order, as WriteTo emits them: a repeated
+// record would otherwise index one location twice.
 func ReadTables(r io.Reader) (*Tables, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -154,6 +142,7 @@ func ReadTables(r io.Reader) (*Tables, error) {
 	if nMap > lines {
 		return nil, fmt.Errorf("dedup: snapshot claims %d mappings over %d lines", nMap, lines)
 	}
+	var prev uint64
 	for i := uint64(0); i < nMap; i++ {
 		logical, err := readU64()
 		if err != nil {
@@ -166,6 +155,10 @@ func ReadTables(r io.Reader) (*Tables, error) {
 		if logical >= lines || locAddr >= lines {
 			return nil, fmt.Errorf("dedup: snapshot mapping %#x->%#x out of range", logical, locAddr)
 		}
+		if i > 0 && logical <= prev {
+			return nil, fmt.Errorf("dedup: snapshot mapping %#x out of order after %#x", logical, prev)
+		}
+		prev = logical
 		t.setMapping(logical, locAddr)
 	}
 
@@ -199,9 +192,11 @@ func ReadTables(r io.Reader) (*Tables, error) {
 		if h > 1<<32-1 || refs > lines || z > 1 {
 			return nil, fmt.Errorf("dedup: corrupt snapshot location %#x (hash=%#x refs=%d zero=%d)", addr, h, refs, z)
 		}
-		l := &location{hash: uint32(h), refs: uint(refs), isZero: z == 1}
-		t.loc[addr] = l
-		t.indexHash(l.hash, addr)
+		if i > 0 && addr <= prev {
+			return nil, fmt.Errorf("dedup: snapshot location %#x out of order after %#x", addr, prev)
+		}
+		prev = addr
+		t.claim(addr, location{hash: uint32(h), refs: uint(refs), isZero: z == 1})
 	}
 
 	nFree, err := readU64()

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -146,5 +147,74 @@ func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 	copy(raw[len("DWDT1\n")+24:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadTables(bytes.NewReader(raw)); err == nil {
 		t.Fatal("expected error on corrupt count")
+	}
+}
+
+// rawSnapshot assembles a DWDT1 snapshot field by field, so a test can state
+// records WriteTo never emits. Each mapping is {logical, location}; each
+// location is {addr, hash, refs, zero}.
+func rawSnapshot(lines, maxRef, freshScan uint64, mappings [][2]uint64, locs [][4]uint64, freed []uint64) []byte {
+	out := []byte(snapshotMagic)
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+	}
+	put(lines, maxRef, freshScan, uint64(len(mappings)))
+	for _, m := range mappings {
+		put(m[:]...)
+	}
+	put(uint64(len(locs)))
+	for _, l := range locs {
+		put(l[:]...)
+	}
+	put(uint64(len(freed)))
+	put(freed...)
+	return out
+}
+
+// repeatedLocationSnapshot lists location 1 twice. Accepted, it would index
+// the location twice under its fingerprint, and the first rewrite of
+// logical 1 would leave a stale chain entry behind.
+func repeatedLocationSnapshot() []byte {
+	return rawSnapshot(8, 4, 2, [][2]uint64{{1, 1}}, [][4]uint64{{1, 0x11, 1, 0}, {1, 0x11, 1, 0}}, nil)
+}
+
+func TestSnapshotRejectsRepeatedRecords(t *testing.T) {
+	cases := map[string][]byte{
+		"repeated location": repeatedLocationSnapshot(),
+		"repeated mapping": rawSnapshot(8, 4, 2, [][2]uint64{{1, 1}, {1, 1}},
+			[][4]uint64{{1, 0x11, 1, 0}}, nil),
+		"unordered mappings": rawSnapshot(8, 4, 3, [][2]uint64{{2, 2}, {1, 1}},
+			[][4]uint64{{1, 0x11, 1, 0}, {2, 0x22, 1, 0}}, nil),
+		"unordered locations": rawSnapshot(8, 4, 3, [][2]uint64{{1, 1}, {2, 2}},
+			[][4]uint64{{2, 0x22, 1, 0}, {1, 0x11, 1, 0}}, nil),
+	}
+	for name, raw := range cases {
+		if _, err := ReadTables(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The same records in WriteTo's order are a valid snapshot.
+	ok := rawSnapshot(8, 4, 3, [][2]uint64{{1, 1}, {2, 2}}, [][4]uint64{{1, 0x11, 1, 0}, {2, 0x22, 1, 0}}, nil)
+	tb, err := ReadTables(bytes.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.PlaceUnique(1, 0x22)
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInvariantsFlagRepeatedChainEntry: a location listed twice under its
+// own fingerprint breaks the first release, so CheckInvariants reports it.
+func TestInvariantsFlagRepeatedChainEntry(t *testing.T) {
+	tb := NewTables(8, 4)
+	tb.PlaceUnique(1, 0x11)
+	tb.hash[0x11] = append(tb.hash[0x11], 1)
+	err := tb.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("CheckInvariants = %v, want a repeated-entry error", err)
 	}
 }

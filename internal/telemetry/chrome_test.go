@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -62,9 +63,12 @@ func TestChromeTraceEscapesHostileNames(t *testing.T) {
 // TestConcurrentExport runs exports while other goroutines keep emitting
 // spans and counter samples. Under -race this proves the export snapshot and
 // the hot-path appends do not touch the buffers unsynchronized; the exported
-// documents must also each be internally consistent JSON/CSV.
+// documents must also each be internally consistent JSON/CSV. The tracer is
+// bounded so every run also exercises the at-cap path: the writers keep
+// emitting until both buffers have overflowed, and each export stays a few
+// megabytes however fast the writers are.
 func TestConcurrentExport(t *testing.T) {
-	trc := New(0)
+	trc := New(1 << 12)
 	stop := make(chan struct{})
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -97,6 +101,15 @@ func TestConcurrentExport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Stop only once both caps have been hit, so the assertions below do not
+	// depend on how much time the writers were scheduled for.
+	for trc.Dropped() == 0 || trc.DroppedSamples() == 0 {
+		runtime.Gosched()
+	}
 	close(stop)
 	writers.Wait()
+	if trc.Len() != 1<<12 || trc.Dropped() == 0 || trc.DroppedSamples() == 0 {
+		t.Fatalf("after the writers stop: %d spans kept, %d spans and %d samples dropped; want the cap and both drop counts > 0",
+			trc.Len(), trc.Dropped(), trc.DroppedSamples())
+	}
 }

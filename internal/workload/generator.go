@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dewrite/internal/config"
+	"dewrite/internal/pages"
 	"dewrite/internal/rng"
 	"dewrite/internal/trace"
 )
@@ -26,10 +27,10 @@ type Generator struct {
 	prof Profile
 	src  *rng.Source
 
-	shadow  map[uint64]*lineBuf // live plaintext per written logical line
-	written []uint64            // write-ordered addresses (recency-weighted picks)
-	zeroRes uint64              // how many lines currently hold the zero line
-	recycle bool                // return replaced shadow buffers to linePool
+	shadow  pages.Array[*lineBuf] // live plaintext per logical line; nil = never written
+	written []uint64              // write-ordered addresses (recency-weighted picks)
+	zeroRes uint64                // how many lines currently hold the zero line
+	recycle bool                  // return replaced shadow buffers to linePool
 
 	dupState bool
 	p11, p00 float64 // Markov stay probabilities for dup / non-dup states
@@ -57,9 +58,8 @@ func NewGenerator(p Profile, seed uint64) *Generator {
 		p.Threads = 1
 	}
 	g := &Generator{
-		prof:   p,
-		src:    rng.New(seed),
-		shadow: make(map[uint64]*lineBuf),
+		prof: p,
+		src:  rng.New(seed),
 	}
 	// Isolated glitches: single writes that deviate from the current
 	// duplication state without ending the run (e.g. one unique line in the
@@ -247,7 +247,7 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 		// the content is resident at the target itself — and the case that
 		// keeps DEUCE's modified-word count low on duplicate traffic.
 		data = g.newLine()
-		*data = *g.shadow[addr]
+		*data = *g.shadow.At(addr)
 		resident = true
 	case wantDup:
 		// Copying a live line's content makes this write a duplicate by
@@ -258,14 +258,14 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 		// calibrated (otherwise zero content snowballs through copies); if
 		// everything sampled is zero, the write degrades to unique content.
 		src := g.pickWritten(0.4)
-		for retry := 0; retry < 8 && isZero(g.shadow[src][:]); retry++ {
+		for retry := 0; retry < 8 && isZero(g.shadow.At(src)[:]); retry++ {
 			src = g.pickWritten(0.4)
 		}
-		if isZero(g.shadow[src][:]) {
+		if isZero(g.shadow.At(src)[:]) {
 			data = g.freshContent(addr)
 		} else {
 			data = g.newLine()
-			*data = *g.shadow[src]
+			*data = *g.shadow.At(src)
 			resident = true
 		}
 	default:
@@ -296,7 +296,7 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 // store could rewrite (zero targets are left to the explicit zero path so
 // the zero fraction stays calibrated).
 func (g *Generator) canSilentStore(addr uint64) bool {
-	old := g.shadow[addr]
+	old := g.shadow.At(addr)
 	return old != nil && !isZero(old[:])
 }
 
@@ -347,7 +347,7 @@ func (g *Generator) pickWritten(theta float64) uint64 {
 // words — the sparse-update pattern DEUCE exploits), or a fully random line
 // on first touch.
 func (g *Generator) freshContent(addr uint64) *lineBuf {
-	old := g.shadow[addr]
+	old := g.shadow.At(addr)
 	data := g.newLine()
 	if old == nil || g.prof.RewriteWords >= config.LineSize/2 {
 		g.src.Fill(data[:])
@@ -376,11 +376,12 @@ func (g *Generator) freshContent(addr uint64) *lineBuf {
 // buffer (whose owning request has necessarily been consumed already) goes
 // back to the pool.
 func (g *Generator) installShadow(addr uint64, data *lineBuf) {
-	old := g.shadow[addr]
+	slot := g.shadow.Ptr(addr)
+	old := *slot
 	if old != nil && isZero(old[:]) {
 		g.zeroRes--
 	}
-	g.shadow[addr] = data
+	*slot = data
 	if isZero(data[:]) {
 		g.zeroRes++
 	}
